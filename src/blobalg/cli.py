@@ -241,7 +241,9 @@ def _cmd_calibrated_check(args):
             mod = build_calibrated(cfg, args.n, shape, seed)
             for name, checker in _CHECKS:
                 rep = checker(mod)
-                results.append((shape, name, rep["max_residual"], rep["pass"]))
+                rel = rep["relations"]
+                results.append((shape, name, rep["max_residual"], rep["pass"],
+                                max(rel, key=rel.get)))
     except NonGenericSeedError as exc:
         raise _CheckFailure(str(exc)) from None
     worst = max(r[2] for r in results)
@@ -249,14 +251,15 @@ def _cmd_calibrated_check(args):
     if args.format == "json":
         _out_json({"n": args.n, "seed": args.seed, "tol": args.tol,
                    "checks": [{"shape": shape_str(s), "check": c,
-                               "max_residual": r, "pass": p}
-                              for s, c, r, p in results],
+                               "max_residual": r, "worst_relation": w,
+                               "pass": p}
+                              for s, c, r, p, w in results],
                    "worst_residual": worst, "pass": ok})
     else:
         lines = ["shape\tcheck\tmax_residual\tstatus"]
         lines.extend("%s\t%s\t%.3e\t%s"
                      % (shape_str(s), c, r, "pass" if p else "FAIL")
-                     for s, c, r, p in results)
+                     for s, c, r, p, _ in results)
         lines.append("# worst residual %.3e against tol %.1e: %s"
                      % (worst, args.tol, "PASS" if ok else "FAIL"))
         _out("".join("%s\n" % l for l in lines))

@@ -2,19 +2,28 @@
 N*A factorization that yields the conjectural graded decomposition
 matrix, simple dimensions, and ladder lower bounds."""
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
 from . import laurent
-from .paths import degree_tiles, is_ladder
+from .paths import (
+    EmbeddedPath,
+    degree_tiles,
+    embed,
+    max_shape,
+    positions,
+    row_degree,
+)
 from .tableaux import (
     Shape,
     count_std,
     cstd,
-    enumerate_std,
-    residue_seq,
+    max_negatives,
+    shape_base,
     shape_str,
     shapes,
+    t_lambda,
 )
 
 __all__ = [
@@ -152,13 +161,22 @@ def _delta_column(args):
     return col
 
 
+def _pool_size(jobs, columns, cpus):
+    """Worker processes for a Delta build: no more than were asked for,
+    than there are columns to build, or than the machine has cores."""
+    return max(1, min(jobs, columns, cpus))
+
+
 def delta_matrix(cfg, n, restrict=None, jobs=1):
     """Matrix of graded coloured-tableau counts, rows and columns in
     the canonical shape order.
 
     Entry (la, mu) is the sum of v^deg over the standard tableaux of
     shape la coloured like T_mu.  ``restrict`` cuts the matrix down to
-    the given shapes; ``jobs`` > 1 distributes columns over processes.
+    the given shapes; ``jobs`` > 1 distributes columns over processes,
+    at most one per column and per core.  Raises RuntimeError if the
+    result is not lower unitriangular with zero entries between
+    distinct shapes of equal k.
     """
     order = shapes(n)
     if restrict is not None:
@@ -169,23 +187,24 @@ def delta_matrix(cfg, n, restrict=None, jobs=1):
                              % ", ".join(sorted(map(_label, missing))))
         order = [s for s in order if s in wanted]
     tasks = [(cfg, n, order, mu) for mu in order]
-    if jobs > 1 and len(order) > 1:
+    workers = _pool_size(jobs, len(order), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cols = list(pool.map(_delta_column, tasks))
     else:
         cols = [_delta_column(t) for t in tasks]
     rows = tuple(tuple(cols[j][i] for j in range(len(order)))
                  for i in range(len(order)))
     for i, la in enumerate(order):
-        assert rows[i][i] == _ONE, "diagonal entry != 1 at %s" % _label(la)
+        if rows[i][i] != _ONE:
+            raise RuntimeError("diagonal entry != 1 at %s" % _label(la))
         for j, mu in enumerate(order):
-            if i < j:
-                assert not rows[i][j], (
-                    "entry above the diagonal at (%s, %s)"
-                    % (_label(la), _label(mu)))
-            if i != j and la.k == mu.k:
-                assert not rows[i][j], (
+            if i < j and rows[i][j]:
+                raise RuntimeError("entry above the diagonal at (%s, %s)"
+                                   % (_label(la), _label(mu)))
+            if i != j and la.k == mu.k and rows[i][j]:
+                raise RuntimeError(
                     "nonzero entry between distinct shapes of equal k: "
                     "(%s, %s)" % (_label(la), _label(mu)))
     return GradedMatrix(tuple(order), rows)
@@ -270,21 +289,52 @@ def decomposition_matrix(cfg, n, restrict=None, jobs=1):
 
 def delta_graded_dim(cfg, n, shape):
     """Graded dimension of a standard module: sum of v^deg over the
-    standard tableaux of the shape."""
-    out = {}
-    for t in enumerate_std(n, shape):
-        out = laurent.add(out, {degree_tiles(cfg, n, t): 1})
-    return out
+    standard tableaux of the shape, by a transfer DP over the walks.
+
+    A tableau with c negative entries walks from b - 1 - 2(half - c),
+    as in cstd, where b is the shape's marker position (shape_base)
+    and half = (n - k) // 2.  After j steps with r SW steps still to
+    come it sits at x = b - 1 - 2 half + j + 2r, so the state (j, r)
+    fixes x, and the starts of all c merge into one DP with r = c at
+    j = 0 and r = 0 at j = n.  Tile row j + 1 depends only on x
+    (paths.row_degree), so each state shifts its polynomial by that
+    row's degree.  The enumeration over all tableaux is kept in the
+    tests as the oracle (``delta_graded_dim_enum`` in tests/oracles.py).
+    """
+    orbit, b = shape_base(cfg, shape)
+    base = b - 1 - 2 * ((n - shape.k) // 2)
+    xs_l = positions(embed(cfg, n, t_lambda(n, shape)))
+    layer = {r: dict(_ONE) for r in range(max_negatives(n, shape) + 1)}
+    for j in range(n):
+        nxt = {}
+        for r, poly in layer.items():
+            if r > n - j:
+                continue  # too few steps left for the remaining SW steps
+            d = row_degree(cfg, orbit, j + 1, base + j + 2 * r, xs_l[j])
+            moved = {e + d: c for e, c in poly.items()}
+            nxt[r] = laurent.add(nxt.get(r, {}), moved)
+            if r:
+                nxt[r - 1] = laurent.add(nxt.get(r - 1, {}), moved)
+        layer = nxt
+    return layer.get(0, {})
 
 
 def simple_graded_dims(cfg, n, jobs=1):
     """Conjectural graded dimensions of the simple modules, solved by
-    back-substitution against the decomposition matrix."""
+    back-substitution against the decomposition matrix.
+
+    Raises RuntimeError if a standard module's graded dimension does
+    not count its tableaux at v = 1.
+    """
     nmat = decomposition_matrix(cfg, n, jobs=jobs)
     dims = {}
     for r, la in enumerate(nmat.shapes):
         acc = delta_graded_dim(cfg, n, la)
-        assert laurent.eval_one(acc) == count_std(n, la)
+        if laurent.eval_one(acc) != count_std(n, la):
+            raise RuntimeError(
+                "graded dimension of %s is %d at v=1, but the shape has %d "
+                "standard tableaux" % (_label(la), laurent.eval_one(acc),
+                                       count_std(n, la)))
         for c in range(r):
             if nmat.rows[r][c]:
                 acc = laurent.sub(
@@ -293,18 +343,85 @@ def simple_graded_dims(cfg, n, jobs=1):
     return dims
 
 
+def _tally_walks(n, c, start, se, sw, groups, least):
+    """Visit every n-step walk from ``start`` with exactly c SW steps,
+    sharing prefixes.  ``se[p]`` and ``sw[p]`` are the residue ids read
+    at lattice position p.  Each leaf's residue-id tuple counts in
+    ``groups[key] = [tableaux, mask of negative counts]`` and lowers
+    ``least[key]`` to c."""
+    seq = []
+    bit = 1 << c
+
+    def walk(j, x, left):
+        if j == n:
+            key = tuple(seq)
+            grp = groups.get(key)
+            if grp is None:
+                groups[key] = [1, bit]
+            else:
+                grp[0] += 1
+                grp[1] |= bit
+            if key not in least or c < least[key]:
+                least[key] = c
+            return
+        step = j + 1
+        if left < n - j:
+            seq.append(se[x + step])
+            walk(step, x + 1, left)
+            seq.pop()
+        if left:
+            seq.append(sw[x - step])
+            walk(step, x - 1, left - 1)
+            seq.pop()
+
+    walk(0, start, c)
+
+
 def simple_dim_lower_bounds(cfg, n):
     """Lower bound for each simple dimension at v=1: the number of
     standard tableaux of the shape sharing a residue sequence with a
-    ladder tableau of that shape."""
+    ladder tableau of that shape.
+
+    One pass over the path lattice.  For each shape and each count c of
+    negative entries, every walk with c SW steps is visited once, with
+    shared prefixes, from the start cstd uses; a leaf is keyed by its
+    residue sequence as a tuple of small ints.  Per (shape, class) only
+    the tableau count and a bitmask of the counts c present are kept,
+    and per class the least c over all shapes, c*.  A ladder tableau is
+    one whose path is widest in its class (width n - 2c, so c = c*) and
+    whose shape is the max_shape of its path, which depends only on the
+    shape and c.  So a class adds its count to shape la exactly when c*
+    is in la's mask and max_shape at (la, c*) is la.  The per-tableau
+    form via is_ladder is kept in the tests as the oracle
+    (``simple_dim_lower_bounds_enum`` in tests/oracles.py).
+    """
+    ids = {}      # Residue -> small int
+    least = {}    # class key -> c*
+    per_shape = []
+    for shape in shapes(n):
+        orbit, b = shape_base(cfg, shape)
+        top = max_negatives(n, shape)
+        base = b - 1 - 2 * ((n - shape.k) // 2)
+        # Step j + 1 from x reads position x + j + 1 (SE) or x - j - 1 (SW).
+        span = range(base - 2 * n, base + 2 * top + 2 * n + 1)
+        se = {x: ids.setdefault(cfg.residue(orbit, x), len(ids)) for x in span}
+        sw = {x: ids.setdefault(cfg.res_invert(cfg.residue(orbit, x)), len(ids))
+              for x in span}
+        groups = {}
+        widest = []
+        for c in range(top + 1):
+            _tally_walks(n, c, base + 2 * c, se, sw, groups, least)
+            rep_path = EmbeddedPath(orbit, base + 2 * c,
+                                    (False,) * c + (True,) * (n - c))
+            widest.append(max_shape(cfg, n, rep_path))
+        per_shape.append((shape, groups, widest))
+
     out = {}
-    for la in shapes(n):
-        by_res = {}
-        for t in enumerate_std(n, la):
-            by_res.setdefault(residue_seq(cfg, n, t), []).append(t)
+    for shape, groups, widest in per_shape:
         bound = 0
-        for group in by_res.values():
-            if any(is_ladder(cfg, n, t) for t in group):
-                bound += len(group)
-        out[la] = bound
+        for key, (count, mask) in groups.items():
+            c = least[key]
+            if mask >> c & 1 and widest[c] == shape:
+                bound += count
+        out[shape] = bound
     return out

@@ -53,6 +53,7 @@ __all__ = [
     "tiles",
     "tile_degree",
     "degree_tiles",
+    "row_degree",
     "tau_order",
     "reduced_word",
     "word_to_tableau",
@@ -272,6 +273,19 @@ def tile_degree(cfg, orbit, tile):
 def degree_tiles(cfg, n, t):
     orbit = embed(cfg, n, t).orbit
     return sum(tile_degree(cfg, orbit, tile) for tile in tiles(cfg, n, t))
+
+
+def row_degree(cfg, orbit, yc, a, b):
+    """Degree of row yc of the tile diagram alone, for a walk whose
+    vertex yc-1 sits at x = a against a distinguished path at x = b.
+
+    degree_tiles is the sum of these over the rows; each row depends on
+    the walk only through a, which is what lets a transfer DP over walk
+    positions replace the per-tableau sum.
+    """
+    lo, hi = min(a, b), max(a, b)
+    return sum(tile_degree(cfg, orbit, Tile(xc, yc, "L" if xc < b else "R"))
+               for xc in range(lo + 1, hi, 2))
 
 
 # -- tile order and reduced words ----------------------------------------

@@ -1,14 +1,18 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from blobalg.cli import run
+from blobalg.calibrated import build_calibrated, make_seed
+from blobalg.cli import _CHECKS, run
+from blobalg.params import load_config
 from blobalg.tableaux import count_std, parse_shape, shapes
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def invoke(capsys, *argv):
@@ -222,6 +226,35 @@ def test_calibrated_check_passes(capsys):
     assert {c["check"] for c in obj["checks"]} == {"hecke", "tl", "jm", "blob"}
 
 
+def test_calibrated_check_json_names_worst_relation(capsys):
+    path = str(CONFIGS / "generic.json")
+    rc, out, _ = invoke(capsys, "calibrated-check", "--config", path,
+                        "--n", "3", "--seed", "5", "--format", "json")
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    cfg = load_config(path)
+    seed = make_seed(cfg, seed=5)
+    expected = []
+    for shape in shapes(3):
+        mod = build_calibrated(cfg, 3, shape, seed)
+        for _, checker in _CHECKS:
+            rel = checker(mod)["relations"]
+            expected.append(max(rel, key=rel.get))
+    assert [c["worst_relation"] for c in checks] == expected
+
+    # the TSV form is unchanged: four columns per check, no relation name
+    rc, tsv, _ = invoke(capsys, "calibrated-check", "--config", path,
+                        "--n", "3", "--seed", "5")
+    assert rc == 0
+    lines = tsv.splitlines()
+    assert lines[0] == "shape\tcheck\tmax_residual\tstatus"
+    assert lines[1:-1] == [
+        "%s\t%s\t%.3e\t%s" % (c["shape"], c["check"], c["max_residual"],
+                             "pass" if c["pass"] else "FAIL")
+        for c in checks]
+    assert lines[-1].startswith("# worst residual ")
+
+
 def test_calibrated_check_non_generic_config_fails(capsys):
     rc, _, err = invoke(capsys, "calibrated-check", "--config",
                         str(CONFIGS / "e7.json"), "--n", "6", "--seed", "1")
@@ -272,6 +305,20 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "(2,alpha1)\t1"
+
+
+def test_bounds_same_bytes_under_optimize():
+    # the invariants are explicit errors, not asserts, so -O changes nothing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["-m", "blobalg.cli", "bounds", "--config",
+            str(CONFIGS / "e5-formal.json"), "--n", "6"]
+    plain = subprocess.run([sys.executable] + argv, capture_output=True,
+                           env=env, cwd=ROOT, timeout=120)
+    optimized = subprocess.run([sys.executable, "-O"] + argv,
+                               capture_output=True, env=env, cwd=ROOT,
+                               timeout=120)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout
 
 
 def test_help_exits_zero(capsys):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobalg import laurent
+from blobalg import decomp, laurent
 from blobalg.decomp import (
     GradedMatrix,
+    _pool_size,
     blocks,
     decomposition_matrix,
     delta_graded_dim,
@@ -28,6 +29,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
+from oracles import delta_graded_dim_enum, simple_dim_lower_bounds_enum
 
 
 # -- GradedMatrix plumbing -------------------------------------------------
@@ -141,6 +143,35 @@ def test_restrict_rejects_unknown_shape(cfg_e5_formal):
 
 def test_parallel_jobs_agree(cfg_e5_formal):
     assert delta_matrix(cfg_e5_formal, 5, jobs=2) == delta_matrix(cfg_e5_formal, 5)
+
+
+def test_pool_size_is_clamped():
+    # pure arithmetic: no pool of these sizes is ever started
+    assert _pool_size(10**6, 20, 2) == 2
+    assert _pool_size(10**6, 3, 64) == 3
+    assert _pool_size(10**9, 10**9, 1) == 1
+    assert _pool_size(4, 20, 64) == 4
+    assert _pool_size(1, 20, 64) == 1
+    assert _pool_size(8, 0, 8) == 1
+
+
+@pytest.mark.parametrize("entry, match", [
+    (lambda i, j: {0: 1} if i == j else ({1: 1} if i < j else {}),
+     "above the diagonal"),
+    (lambda i, j: {0: 2} if i == j else {}, "diagonal entry"),
+    # shapes(4) opens with two shapes of k = 4
+    (lambda i, j: {0: 1} if i == j else ({1: 1} if (i, j) == (1, 0) else {}),
+     "equal k"),
+])
+def test_delta_invariants_raise(monkeypatch, entry, match):
+    def fake_column(args):
+        _, _, order, mu = args
+        j = order.index(mu)
+        return [entry(i, j) for i in range(len(order))]
+
+    monkeypatch.setattr(decomp, "_delta_column", fake_column)
+    with pytest.raises(RuntimeError, match=match):
+        delta_matrix(CONFIG_FACTORIES["e7"](), 4)
 
 
 @pytest.mark.parametrize("cfg_name", ["e5_formal", "e7"])
@@ -418,6 +449,25 @@ def test_simple_dims_v1_count_identity(cfg_name):
             assert total == count_std(n, la)
 
 
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_delta_graded_dim_matches_enumeration(cfg_name):
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    for n in range(1, 11):
+        for la in shapes(n):
+            assert delta_graded_dim(cfg, n, la) == delta_graded_dim_enum(cfg, n, la)
+
+
+def test_wrong_graded_dim_raises(monkeypatch, cfg_e7):
+    true_dim = decomp.delta_graded_dim
+
+    def off_by_one(cfg, n, shape):
+        return laurent.add(true_dim(cfg, n, shape), {0: 1})
+
+    monkeypatch.setattr(decomp, "delta_graded_dim", off_by_one)
+    with pytest.raises(RuntimeError, match="standard tableaux"):
+        simple_graded_dims(cfg_e7, 4)
+
+
 def test_first_shape_simple_equals_standard(cfg_e5_formal):
     for n in (3, 4, 5):
         dims = simple_graded_dims(cfg_e5_formal, n)
@@ -432,6 +482,13 @@ def test_bounds_generic_hit_full_dimension(cfg_generic):
         bounds = simple_dim_lower_bounds(cfg_generic, n)
         for la in shapes(n):
             assert bounds[la] == count_std(n, la)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_bounds_match_enumeration(cfg_name):
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    for n in range(1, 9):
+        assert simple_dim_lower_bounds(cfg, n) == simple_dim_lower_bounds_enum(cfg, n)
 
 
 @pytest.mark.parametrize("cfg_name", ["e5_formal", "e14_fig", "e7"])

@@ -1,5 +1,7 @@
 import cmath
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +232,52 @@ def test_parse_e_infinity():
     assert pm.config_to_obj(cfg)["e"] == "infinity"
     with pytest.raises(ValueError):
         pm.parse_config(dict(obj, e="inf"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_shipped_configs_load_and_validate():
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        assert pm.validate_config(pm.load_config(path)) == [], path.name
+
+
+def test_readme_config_fragments_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```json\n(.*?)```", section, re.S)
+    full = json.loads(block)
+    assert pm.parse_config(full) == pm.load_config(ROOT / "configs" / "e5-formal.json")
+
+    # every inline JSON fragment, placed where it belongs in a config
+    base = {
+        "e": 7,
+        "points": {"alpha1": {"integral": 4}, "alpha2": {"integral": 3},
+                   "theta": {"orbit": "T", "offset": 0}},
+        "inversions": {"T": {"paired": "T*"}},
+    }
+    kinds = set()
+    inline = re.sub(r"```.*?```", "", section, flags=re.S)
+    for span in re.findall(r"`([^`\n]+)`", inline):
+        try:
+            frag = json.loads(span)
+        except ValueError:
+            continue  # a key or file name, not a JSON value
+        obj = json.loads(json.dumps(base))
+        if isinstance(frag, dict) and set(frag) in ({"orbit", "offset"}, {"integral"}):
+            obj["points"]["alpha1"] = frag
+            if "orbit" in frag:
+                obj["inversions"][frag["orbit"]] = {"paired": frag["orbit"] + "*"}
+        elif isinstance(frag, dict):
+            obj["inversions"]["T"] = frag
+        else:
+            obj["e"] = frag
+        pm.parse_config(obj)
+        kinds.add(tuple(sorted(frag)) if isinstance(frag, dict) else "e")
+    assert kinds == {("offset", "orbit"), ("integral",), ("paired",),
+                     ("self_center",), "e"}
 
 
 def test_res_to_complex_integral(cfg_einf_integral):
