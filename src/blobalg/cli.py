@@ -9,6 +9,7 @@ import sys
 from . import laurent
 from .calibrated import (
     DEFAULT_TOL,
+    MAX_MODULE_BYTES,
     NonGenericSeedError,
     blob_check,
     build_calibrated,
@@ -16,10 +17,11 @@ from .calibrated import (
     check_jm_spectrum,
     check_tl_relations,
     make_seed,
+    module_bytes,
 )
 from .decomp import (
     blocks,
-    decomposition_matrix,
+    decomposition_from_delta,
     delta_matrix,
     simple_dim_lower_bounds,
     simple_graded_dims,
@@ -172,8 +174,8 @@ def _cmd_delta(args):
 
 def _cmd_decomp(args):
     cfg = _load(args.config)
-    _, bls = _blocks_of(args, cfg)
-    nmat = decomposition_matrix(cfg, args.n, jobs=args.jobs)
+    d, bls = _blocks_of(args, cfg)
+    nmat = decomposition_from_delta(d)
     return _emit_matrix_blocks(args, nmat, bls)
 
 
@@ -234,6 +236,12 @@ _CHECKS = (
 
 def _cmd_calibrated_check(args):
     cfg = _load(args.config)
+    need = module_bytes(args.n)
+    if need > MAX_MODULE_BYTES:
+        raise _UsageError(
+            "calibrated-check at n=%d needs %.0f MiB of dense matrices for "
+            "its largest module, over the budget of %d MiB"
+            % (args.n, need / 2**20, MAX_MODULE_BYTES // 2**20))
     try:
         seed = make_seed(cfg, seed=args.seed, tol=args.tol)
         results = []

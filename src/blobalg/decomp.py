@@ -32,6 +32,7 @@ __all__ = [
     "blocks",
     "na_factorize",
     "decomposition_matrix",
+    "decomposition_from_delta",
     "delta_graded_dim",
     "simple_graded_dims",
     "simple_dim_lower_bounds",
@@ -274,9 +275,15 @@ def na_factorize(delta):
 
 def decomposition_matrix(cfg, n, restrict=None, jobs=1):
     """Conjectural graded decomposition matrix: the N factor of the
-    Delta-matrix.  Off-diagonal coefficients are expected nonnegative;
+    Delta-matrix (see decomposition_from_delta)."""
+    return decomposition_from_delta(
+        delta_matrix(cfg, n, restrict=restrict, jobs=jobs))
+
+
+def decomposition_from_delta(delta):
+    """Conjectural graded decomposition matrix of a given Delta-matrix:
+    its N factor.  Off-diagonal coefficients are expected nonnegative;
     a violation is reported as a warning, not an error."""
-    delta = delta_matrix(cfg, n, restrict=restrict, jobs=jobs)
     nmat, _ = na_factorize(delta)
     bad = [(la, mu) for (la, mu), p in nmat.labeled_entries().items()
            if any(c < 0 for c in p.values())]

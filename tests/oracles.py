@@ -1,9 +1,12 @@
 """Slow reference implementations that the fast library code is
 differentially tested against.
 
-Each is the plain per-tableau definition: it enumerates every standard
-tableau of the shape and asks the per-tableau question directly.
+The graded oracles are the plain per-tableau definitions: they
+enumerate every standard tableau of the shape and ask the per-tableau
+question directly.  The norm oracle is the exact spectral norm.
 """
+
+import numpy as np
 
 from blobalg import laurent
 from blobalg.paths import degree_tiles, is_ladder
@@ -34,3 +37,9 @@ def simple_dim_lower_bounds_enum(cfg, n):
                 bound += len(group)
         out[la] = bound
     return out
+
+
+def spectral_norm(mat, tol):
+    """Oracle for calibrated._norm: the exact spectral norm (one SVD),
+    whatever the tolerance."""
+    return float(np.linalg.norm(mat, 2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blobalg.calibrated as calibrated
 from blobalg.calibrated import (
     NonGenericSeedError,
     blob_check,
@@ -27,7 +28,11 @@ from blobalg.tableaux import (
     shapes,
 )
 
+from conftest import CONFIG_FACTORIES
+from oracles import spectral_norm
+
 TOL = 1e-8
+CHECKERS = (check_hecke_relations, check_tl_relations, check_jm_spectrum, blob_check)
 
 
 # -- seeds ---------------------------------------------------------------
@@ -286,3 +291,85 @@ def test_total_square_dimension_is_seed_free(cfg_generic):
                 for sh in shapes(n)
             )
             assert built == total
+
+
+# -- residual norm ---------------------------------------------------------
+
+# Both norms are rounded, so "never below the spectral norm" is checked
+# up to a relative 1e-12; a Frobenius bound a few ulps under a spectral
+# norm of rank one is rounding, not under-reporting.
+NORM_SLACK = 1e-12
+
+
+def _buildable(cfg, n, seed):
+    for sh in shapes(n):
+        try:
+            yield build_calibrated(cfg, n, sh, seed)
+        except NonGenericSeedError:
+            continue
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-8, 1.0, 1e3])
+def test_norm_bounds_spectral_on_random_matrices(tol):
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 5, 16, 33):
+        for scale in (1e-12, 1e-6, 1.0, 10.0):
+            mat = scale * (rng.standard_normal((dim, dim))
+                           + 1j * rng.standard_normal((dim, dim)))
+            spectral = np.linalg.norm(mat, 2)
+            got = calibrated._norm(mat, tol)
+            assert got >= spectral * (1 - NORM_SLACK)
+            if got >= tol:
+                assert got == spectral
+
+
+@pytest.mark.parametrize("cfg_name", ["generic", "e7"])
+def test_norm_bounds_spectral_on_residuals(cfg_name, monkeypatch):
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    seen = []
+    real = calibrated._norm
+
+    def recording(mat, tol):
+        seen.append((mat, tol))
+        return real(mat, tol)
+
+    monkeypatch.setattr(calibrated, "_norm", recording)
+    for n in range(1, 6):
+        for m in _buildable(cfg, n, make_seed(cfg, n)):
+            for checker in CHECKERS:
+                checker(m)
+    assert len(seen) > 100
+    for mat, tol in seen:
+        spectral = np.linalg.norm(mat, 2)
+        assert real(mat, tol) >= spectral * (1 - NORM_SLACK)
+
+
+def _reports(cfg, n, seed, tol):
+    return [checker(m, tol) for m in _buildable(cfg, n, seed)
+            for checker in CHECKERS]
+
+
+@pytest.mark.parametrize("seed_int", [0, 1, 2, 45, 46])
+def test_norm_gate_agrees_with_spectral_oracle(cfg_generic, seed_int,
+                                               monkeypatch):
+    seed = make_seed(cfg_generic, seed_int)
+    # 1e-14 sits inside the residual range, so both outcomes occur; the
+    # annihilation residuals reach 3e-31, below 1e-30, so only tol = 0
+    # sends every relation through the spectral norm
+    for tol in (1e-8, 1e-14, 1e-30, 0.0):
+        for n in range(1, 6):
+            got = _reports(cfg_generic, n, seed, tol)
+            with monkeypatch.context() as mp:
+                mp.setattr(calibrated, "_norm", spectral_norm)
+                want = _reports(cfg_generic, n, seed, tol)
+            assert [r["pass"] for r in got] == [r["pass"] for r in want]
+            for g, w in zip(got, want):
+                if not w["pass"]:
+                    worst = max(w["relations"], key=w["relations"].get)
+                    assert max(g["relations"], key=g["relations"].get) == worst
+                    assert g["max_residual"] == w["max_residual"]
+                for name, value in g["relations"].items():
+                    if value >= tol:
+                        assert value == w["relations"][name]
+                    else:
+                        assert w["relations"][name] < tol

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from blobalg.calibrated import build_calibrated, make_seed
+import blobalg.cli as cli
+from blobalg.calibrated import (
+    MAX_MODULE_BYTES,
+    build_calibrated,
+    make_seed,
+    module_bytes,
+)
 from blobalg.cli import _CHECKS, run
 from blobalg.params import load_config
 from blobalg.tableaux import count_std, parse_shape, shapes
@@ -255,6 +261,30 @@ def test_calibrated_check_json_names_worst_relation(capsys):
     assert lines[-1].startswith("# worst residual ")
 
 
+def test_module_bytes_counts_the_largest_module(cfg_generic):
+    seed = make_seed(cfg_generic, 0)
+    held = []
+    for shape in shapes(4):
+        m = build_calibrated(cfg_generic, 4, shape, seed)
+        arrays = [m.t0, m.t0v, m.tn] + m.ts + m.xs
+        held.append(sum(a.nbytes for a in arrays))
+    assert module_bytes(4) == max(held)
+    assert module_bytes(10) == 352 * 2**20 <= MAX_MODULE_BYTES
+    assert module_bytes(11) == 1536 * 2**20 > MAX_MODULE_BYTES
+
+
+def test_calibrated_check_size_guard(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("module built past the size guard")
+
+    monkeypatch.setattr(cli, "build_calibrated", no_build)
+    rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                          str(CONFIGS / "generic.json"), "--n", "11")
+    assert rc == 2
+    assert out == ""
+    assert "1536 MiB" in err and "budget of 512 MiB" in err
+
+
 def test_calibrated_check_non_generic_config_fails(capsys):
     rc, _, err = invoke(capsys, "calibrated-check", "--config",
                         str(CONFIGS / "e7.json"), "--n", "6", "--seed", "1")
@@ -326,3 +356,14 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert run(["decomp", "--help"]) == 0
     capsys.readouterr()
+
+
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
