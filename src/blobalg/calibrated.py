@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import res_to_complex
+from .params import INTEGRAL_ORBIT, res_to_complex
 from .tableaux import (
     Tableau,
     count_std,
@@ -69,9 +69,8 @@ _MARGIN = 1e-6  # numeric separation demanded of the special points
 _DENOM_MARGIN = 0.25
 
 
-# Dense size budget of one calibrated module (see module_bytes): 352 MiB
-# at n = 10 fits, 1.5 GiB at n = 11 does not.  The relation checks hold
-# a few dense products of the same size on top of it.
+# Size budget of one calibrated check (see module_bytes): 165 MiB at
+# n = 9 fits, 705 MiB at n = 10 does not.
 MAX_MODULE_BYTES = 512 * 2**20
 
 
@@ -131,14 +130,6 @@ def _sample_q(cfg, rng):
             return q
 
 
-def _point_site(cfg, label):
-    """(orbit or None, exponent) of a point; None orbit means integral."""
-    spec = cfg.points[label]
-    if hasattr(spec, "exp"):
-        return None, spec.exp
-    return spec.orbit, spec.offset
-
-
 def _separated(cfg, seed, margin=_MARGIN):
     """Numeric version of the configuration assumptions: the four base
     points stay apart, their q^2 shifts avoid the bases, nothing lands
@@ -150,7 +141,7 @@ def _separated(cfg, seed, margin=_MARGIN):
     """
     q = seed.q
     for orbit, z in seed.orbit_bases.items():
-        if hasattr(cfg.inversions.get(orbit), "partner"):
+        if cfg.hyperplane_center(orbit) is None:  # a paired orbit
             zz = z * z
             if any(abs(zz - q**j) < _DENOM_MARGIN for j in range(-32, 33)):
                 return False
@@ -189,9 +180,9 @@ def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
     separated.
     """
     rng = random.Random(seed)
-    o1, c1 = _point_site(cfg, "alpha1")
-    o2, c2 = _point_site(cfg, "alpha2")
-    ot, ct = _point_site(cfg, "theta")
+    o1, c1 = cfg.point_site("alpha1")
+    o2, c2 = cfg.point_site("alpha2")
+    ot, ct = cfg.point_site("theta")
     for _ in range(500):
         q = _sample_q(cfg, rng)
         bases = {}
@@ -199,16 +190,16 @@ def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
         if o1 == o2:
             # the ratio alpha1/alpha2 does not involve a free base
             qn = sign * cmath.sqrt(-(q**c1) / q**c2)
-            if o1 is None:
+            if o1 == INTEGRAL_ORBIT:
                 q0 = q**c1 / qn
             else:
                 q0 = _sample_annulus(rng)
                 bases[o1] = q0 * qn * q**-c1
-        elif o1 is None:
+        elif o1 == INTEGRAL_ORBIT:
             qn = _sample_annulus(rng)
             q0 = q**c1 / qn
             bases[o2] = -q0 / qn * q**-c2
-        elif o2 is None:
+        elif o2 == INTEGRAL_ORBIT:
             qn = _sample_annulus(rng)
             q0 = -(q**c2) * qn
             bases[o1] = q0 * qn * q**-c1
@@ -216,10 +207,10 @@ def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
             q0, qn = _sample_annulus(rng), _sample_annulus(rng)
             bases[o1] = q0 * qn * q**-c1
             bases[o2] = -q0 / qn * q**-c2
-        if ot is not None and ot not in bases:
-            inv = cfg.inversions.get(ot)
-            if hasattr(inv, "center"):
-                bases[ot] = rng.choice((1, -1)) * q ** (-(inv.center // 2))
+        if ot != INTEGRAL_ORBIT and ot not in bases:
+            c = cfg.hyperplane_center(ot)
+            if c is not None:
+                bases[ot] = rng.choice((1, -1)) * q ** -c
             else:
                 bases[ot] = _sample_annulus(rng)
         for orbit in list(bases):
@@ -275,11 +266,16 @@ class CalibratedModule:
 
 
 def module_bytes(n):
-    """Bytes of the dense matrices of the largest calibrated module at
-    level n: T_0 .. T_{n-1}, T_0v, T_n and X_1 .. X_n, 2n + 2 complex
-    dim x dim arrays.  Computed from tableau counts, allocates nothing."""
+    """Peak bytes of a calibrated check at level n, from tableau counts
+    alone: 3n + 14 complex dim x dim arrays for the largest module, plus
+    1 MiB for tableaux and reports.  The module stores 2n + 2 (T_0 ..
+    T_{n-1}, T_0v, T_n, X_1 .. X_n), the TL and blob checks hold the
+    n + 2 idempotents beside them, and one relation's products and norm
+    add at most 10.  Whole runs on the generic configuration peaked at
+    27.4, 29.0, 30.5, 33.2 and 36.1 arrays at n = 5 .. 9 (tracemalloc).
+    """
     dim = max(count_std(n, s) for s in shapes(n))
-    return (2 * n + 2) * dim * dim * np.dtype(complex).itemsize
+    return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
 def _flip(shape, n, t, i):

@@ -56,13 +56,18 @@ def _out_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _load(path):
+def _read(path):
+    """Parse a config file; unreadable or malformed input is a usage error."""
     try:
-        cfg = load_config(path)
+        return load_config(path)
     except OSError as exc:
         raise _UsageError("cannot read config %s: %s" % (path, exc)) from None
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _load(path):
+    cfg = _read(path)
     problems = validate_config(cfg)
     if problems:
         raise _CheckFailure(
@@ -89,12 +94,7 @@ def _shape_range(args):
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_validate(args):
-    try:
-        cfg = load_config(args.config)
-    except OSError as exc:
-        raise _UsageError("cannot read config %s: %s" % (args.config, exc)) from None
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = _read(args.config)
     problems = validate_config(cfg)
     if args.format == "json":
         obj = {"ok": not problems}
@@ -239,8 +239,8 @@ def _cmd_calibrated_check(args):
     need = module_bytes(args.n)
     if need > MAX_MODULE_BYTES:
         raise _UsageError(
-            "calibrated-check at n=%d needs %.0f MiB of dense matrices for "
-            "its largest module, over the budget of %d MiB"
+            "calibrated-check at n=%d needs %.0f MiB for its largest module "
+            "and its relation checks, over the budget of %d MiB"
             % (args.n, need / 2**20, MAX_MODULE_BYTES // 2**20))
     try:
         seed = make_seed(cfg, seed=args.seed, tol=args.tol)

@@ -20,10 +20,12 @@ from .tableaux import (
     count_std,
     cstd,
     max_negatives,
-    shape_base,
+    residue_seq,
     shape_str,
     shapes,
+    step_residue,
     t_lambda,
+    walk_start,
 )
 
 __all__ = [
@@ -153,10 +155,11 @@ class GradedMatrix:
 
 def _delta_column(args):
     cfg, n, order, mu = args
+    target = residue_seq(cfg, n, t_lambda(n, mu))
     col = []
     for la in order:
         ent = {}
-        for s in cstd(cfg, n, la, mu):
+        for s in cstd(cfg, n, la, target):
             ent = laurent.add(ent, {degree_tiles(cfg, n, s): 1})
         col.append(ent)
     return col
@@ -298,18 +301,16 @@ def delta_graded_dim(cfg, n, shape):
     """Graded dimension of a standard module: sum of v^deg over the
     standard tableaux of the shape, by a transfer DP over the walks.
 
-    A tableau with c negative entries walks from b - 1 - 2(half - c),
-    as in cstd, where b is the shape's marker position (shape_base)
-    and half = (n - k) // 2.  After j steps with r SW steps still to
-    come it sits at x = b - 1 - 2 half + j + 2r, so the state (j, r)
-    fixes x, and the starts of all c merge into one DP with r = c at
-    j = 0 and r = 0 at j = n.  Tile row j + 1 depends only on x
+    A tableau with c negative entries walks from x0 + 2c, where x0 is
+    tableaux.walk_start at c = 0.  After j steps with r SW steps still
+    to come it sits at x = x0 + j + 2r, so the state (j, r) fixes x,
+    and the starts of all c merge into one DP with r = c at j = 0 and
+    r = 0 at j = n.  Tile row j + 1 depends only on x
     (paths.row_degree), so each state shifts its polynomial by that
     row's degree.  The enumeration over all tableaux is kept in the
     tests as the oracle (``delta_graded_dim_enum`` in tests/oracles.py).
     """
-    orbit, b = shape_base(cfg, shape)
-    base = b - 1 - 2 * ((n - shape.k) // 2)
+    orbit, base = walk_start(cfg, n, shape, 0)
     xs_l = positions(embed(cfg, n, t_lambda(n, shape)))
     layer = {r: dict(_ONE) for r in range(max_negatives(n, shape) + 1)}
     for j in range(n):
@@ -406,20 +407,22 @@ def simple_dim_lower_bounds(cfg, n):
     least = {}    # class key -> c*
     per_shape = []
     for shape in shapes(n):
-        orbit, b = shape_base(cfg, shape)
         top = max_negatives(n, shape)
-        base = b - 1 - 2 * ((n - shape.k) // 2)
-        # Step j + 1 from x reads position x + j + 1 (SE) or x - j - 1 (SW).
-        span = range(base - 2 * n, base + 2 * top + 2 * n + 1)
-        se = {x: ids.setdefault(cfg.residue(orbit, x), len(ids)) for x in span}
-        sw = {x: ids.setdefault(cfg.res_invert(cfg.residue(orbit, x)), len(ids))
-              for x in span}
+        orbit, lo = walk_start(cfg, n, shape, 0)
+        # Step j + 1 from x reads position p = x + j + 1 (SE) or x - j - 1
+        # (SW), which is step_residue at step 0 from p.  Starts lie in
+        # lo .. lo + 2n.
+        span = range(lo - 2 * n, lo + 4 * n + 1)
+        se = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, True), len(ids))
+              for p in span}
+        sw = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, False), len(ids))
+              for p in span}
         groups = {}
         widest = []
         for c in range(top + 1):
-            _tally_walks(n, c, base + 2 * c, se, sw, groups, least)
-            rep_path = EmbeddedPath(orbit, base + 2 * c,
-                                    (False,) * c + (True,) * (n - c))
+            _, start = walk_start(cfg, n, shape, c)
+            _tally_walks(n, c, start, se, sw, groups, least)
+            rep_path = EmbeddedPath(orbit, start, (False,) * c + (True,) * (n - c))
             widest.append(max_shape(cfg, n, rep_path))
         per_shape.append((shape, groups, widest))
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -157,16 +158,22 @@ class ParamConfig:
             exp %= p
         return Residue(orbit, exp)
 
-    def point_residue(self, label):
-        """Residue of one of the six special points."""
+    def point_site(self, label):
+        """Raw (orbit, position) of one of the six special points: not
+        reduced mod 2e, so it can anchor walks on the integer lattice."""
         if label.endswith("_inv"):
-            return self.res_invert(self.point_residue(label[:-4]))
+            orbit, x = self.point_site(label[:-4])
+            return self.invert_orbit(orbit), self.raw_invert_position(orbit, x)
         spec = self.points.get(label)
         if spec is None:
             raise ValueError("unknown point label %r" % label)
         if isinstance(spec, Integral):
-            return self.residue(INTEGRAL_ORBIT, spec.exp)
-        return self.residue(spec.orbit, spec.offset)
+            return INTEGRAL_ORBIT, spec.exp
+        return spec.orbit, spec.offset
+
+    def point_residue(self, label):
+        """Residue of one of the six special points."""
+        return self.residue(*self.point_site(label))
 
     def res_shift(self, r, steps):
         """Multiply by q^(2*steps)."""
@@ -198,11 +205,8 @@ class ParamConfig:
 
         Walls sit where the lattice value is +-1: at multiples of e from
         the reflection center for finite e, and only at the center for
-        e infinite.  Paired formal orbits have no walls.  The lattice
-        may be named by its orbit string or by any Residue on it.
+        e infinite.  Paired formal orbits have no walls.
         """
-        if isinstance(orbit, Residue):
-            orbit = orbit.orbit
         c = self.hyperplane_center(orbit)
         if c is None:
             return False
@@ -210,20 +214,22 @@ class ParamConfig:
             return x == c
         return (x - c) % self.e == 0
 
+    @cached_property
+    def _markers(self):
+        """{Residue: label} of the six special points, built once; where
+        two points coincide the label first in MARKER_LABELS wins."""
+        table = {}
+        for label in MARKER_LABELS:
+            table.setdefault(self.point_residue(label), label)
+        return table
+
     def marker_label_at(self, orbit, x):
         """Label of the special point at position x of the orbit, or None.
 
         Positions are compared as residues, so 2e-translates of a marked
-        point are marked too when e is finite.  The lattice may be named
-        by its orbit string or by any Residue on it.
+        point are marked too when e is finite.
         """
-        if isinstance(orbit, Residue):
-            orbit = orbit.orbit
-        r = self.residue(orbit, x)
-        for label in MARKER_LABELS:
-            if r == self.point_residue(label):
-                return label
-        return None
+        return self._markers.get(self.residue(orbit, x))
 
 
 def make_config(e, points, inversions):

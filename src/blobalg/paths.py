@@ -5,6 +5,8 @@ plus a starting vertex, each step moving one unit right (SE, positive
 entry) or left (SW, negative entry).  Vertex j sits x(j) = x(j-1) +- 1,
 and the markers of the parameter configuration sit on a fixed row just
 above the walk, at positions congruent to the marker anchor mod 2.
+The start vertex and the residue a step reads are tableaux.walk_start
+and tableaux.step_residue, shared with cstd.
 
 Everything degree-related lives here: the tile diagram between a path
 and the path of its shape's distinguished tableau, the combinatorial
@@ -28,9 +30,10 @@ from .tableaux import (
     is_valid_shape,
     max_negatives,
     residue_seq,
-    shape_base,
     shapes,
+    step_residue,
     t_lambda,
+    walk_start,
     weyl_act,
 )
 
@@ -78,11 +81,9 @@ class EmbeddedPath:
 
 def embed(cfg, n, t):
     """Embed a standard tableau as a path anchored at its marker."""
-    orbit, b = shape_base(cfg, t.shape)
     negs = t.negated_set()
-    m = (n - t.shape.k) // 2 - len(negs)
-    steps = tuple(j not in negs for j in range(1, n + 1))
-    return EmbeddedPath(orbit, b - 1 - 2 * m, steps)
+    orbit, start = walk_start(cfg, n, t.shape, len(negs))
+    return EmbeddedPath(orbit, start, tuple(j not in negs for j in range(1, n + 1)))
 
 
 def positions(path):
@@ -98,36 +99,26 @@ def width(path):
 
 
 def path_residues(cfg, path):
-    """Residue of each step: SE steps read the lattice directly, SW
-    steps read the mirror position and invert."""
-    out = []
-    x = path.start
-    for j, se in enumerate(path.steps, start=1):
-        if se:
-            out.append(cfg.residue(path.orbit, x + j))
-            x += 1
-        else:
-            out.append(cfg.res_invert(cfg.residue(path.orbit, x - j)))
-            x -= 1
-    return tuple(out)
+    """Residue of each step (tableaux.step_residue)."""
+    xs = positions(path)
+    return tuple(step_residue(cfg, path.orbit, xs[j - 1], j, se)
+                 for j, se in enumerate(path.steps, start=1))
 
 
 def realize(cfg, n, path):
     """All (shape, tableau) pairs this path presents.
 
-    A shape matches when its implied marker position actually carries
-    that marker and the path's SW count respects the bead bound.
+    A shape matches when the SW count respects the bead bound and the
+    path starts at that shape's walk_start, up to a 2e-translate.
     """
     if path.n != n:
         raise ValueError("path has %d steps, expected %d" % (path.n, n))
-    sw = sum(1 for se in path.steps if not se)
     negs = frozenset(j for j, se in enumerate(path.steps, start=1) if not se)
+    here = cfg.residue(path.orbit, path.start)
     out = []
     for shape in shapes(n):
-        if sw > max_negatives(n, shape):
-            continue
-        anchor = path.start + 1 + 2 * ((n - shape.k) // 2 - sw)
-        if cfg.marker_label_at(path.orbit, anchor) == shape.marker:
+        if len(negs) <= max_negatives(n, shape) and (
+                cfg.residue(*walk_start(cfg, n, shape, len(negs))) == here):
             out.append((shape, from_negated_set(n, shape, negs)))
     return out
 

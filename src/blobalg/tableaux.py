@@ -16,6 +16,10 @@ size by p-1 (not bounded for (0, theta)).
 
 Residues: the content of box j is marker * q^(2(j-p)), and res_i(t) is
 the content of the box holding +-i, inverted when the entry is negative.
+
+The same residues are read off a walk, SE for +i and SW for -i: its
+start (walk_start) and the residue each step reads (step_residue) live
+here, for cstd, paths and decomp alike.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ __all__ = [
     "t_lambda",
     "is_standard",
     "weyl_act",
-    "shape_base",
     "box_contents",
     "residue_seq",
+    "walk_start",
+    "step_residue",
     "cstd",
     "cstd_brute",
     "shape_str",
@@ -205,27 +210,6 @@ def weyl_act(j, entries):
     return tuple(out)
 
 
-def shape_base(cfg, shape):
-    """Raw lattice coordinate (orbit, position) of the shape's marker.
-
-    Unlike point_residue this is not reduced mod 2e; it anchors the
-    path embedding, where positions are genuine integers.
-    """
-    label = shape.marker
-    inv = label.endswith("_inv")
-    if inv:
-        label = label[:-4]
-    spec = cfg.points[label]
-    if hasattr(spec, "exp"):
-        orbit, pos = "q", spec.exp
-    else:
-        orbit, pos = spec.orbit, spec.offset
-    if inv:
-        pos = cfg.raw_invert_position(orbit, pos)
-        orbit = cfg.invert_orbit(orbit)
-    return orbit, pos
-
-
 def box_contents(cfg, n, shape):
     """Content residues of boxes 1..n (index 0 unused)."""
     pr = cfg.point_residue(shape.marker)
@@ -258,22 +242,33 @@ def _target_residues(cfg, n, target):
     return target
 
 
+def walk_start(cfg, n, shape, negs):
+    """(orbit, x0) where a tableau of the shape with `negs` negative
+    entries starts its walk: x0 = b - 1 - 2((n - k)/2 - negs), with
+    (orbit, b) the raw site of the shape's marker."""
+    orbit, b = cfg.point_site(shape.marker)
+    return orbit, b - 1 - 2 * ((n - shape.k) // 2 - negs)
+
+
+def step_residue(cfg, orbit, x, step, se):
+    """Residue read by step `step` leaving x: (orbit, x + step) going
+    SE, the inverse of (orbit, x - step) going SW."""
+    if se:
+        return cfg.residue(orbit, x + step)
+    return cfg.res_invert(cfg.residue(orbit, x - step))
+
+
 def cstd(cfg, n, shape, target):
     """Standard tableaux of the given shape whose residue sequence
     matches the target (a Shape meaning res of its t_lambda, a Tableau,
     or an explicit residue sequence).
 
-    Walks the path lattice: after j steps at position x, step j+1 moves
-    SE with residue (orbit, x+j+1) or SW with the inverse of
-    (orbit, x-j-1); only matching steps are taken, so the search
-    branches only where both match.  One start position per admissible
-    count of negative entries.
+    Walks the path lattice from walk_start, once per admissible count
+    of negative entries, taking only steps whose step_residue matches,
+    so the search branches only where both SE and SW match.
     """
     validate_shape(n, shape)
     R = _target_residues(cfg, n, target)
-    orbit, b = shape_base(cfg, shape)
-    k = shape.k
-    half = (n - k) // 2
     found = []
 
     def go(j, x, sw, negs):
@@ -283,15 +278,16 @@ def cstd(cfg, n, shape, target):
             found.append(frozenset(sw))
             return
         step = j + 1
-        if cfg.residue(orbit, x + step) == R[j]:
-            go(j + 1, x + 1, sw, negs)
-        if cfg.res_invert(cfg.residue(orbit, x - step)) == R[j]:
+        if step_residue(cfg, orbit, x, step, True) == R[j]:
+            go(step, x + 1, sw, negs)
+        if step_residue(cfg, orbit, x, step, False) == R[j]:
             sw.append(step)
-            go(j + 1, x - 1, sw, negs)
+            go(step, x - 1, sw, negs)
             sw.pop()
 
     for negs in range(max_negatives(n, shape) + 1):
-        go(0, b - 1 - 2 * (half - negs), [], negs)
+        orbit, x0 = walk_start(cfg, n, shape, negs)
+        go(0, x0, [], negs)
 
     found.sort(key=lambda s: (len(s), sorted(s)))
     return [from_negated_set(n, shape, s) for s in found]

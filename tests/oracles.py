@@ -1,16 +1,29 @@
 """Slow reference implementations that the fast library code is
 differentially tested against.
 
-The graded oracles are the plain per-tableau definitions: they
-enumerate every standard tableau of the shape and ask the per-tableau
-question directly.  The norm oracle is the exact spectral norm.
+The marker oracle compares a position with all six special points in
+turn, without ParamConfig.marker_label_at's lookup table.  The graded
+oracles are the plain per-tableau definitions: they enumerate every
+standard tableau of the shape and ask the per-tableau question
+directly.  The norm oracle is the exact spectral norm.
 """
 
 import numpy as np
 
 from blobalg import laurent
+from blobalg.params import MARKER_LABELS
 from blobalg.paths import degree_tiles, is_ladder
 from blobalg.tableaux import enumerate_std, residue_seq, shapes
+
+
+def marker_label_at_loop(cfg, orbit, x):
+    """Oracle for ParamConfig.marker_label_at: the first label in
+    MARKER_LABELS whose residue is that of (orbit, x), or None."""
+    r = cfg.residue(orbit, x)
+    for label in MARKER_LABELS:
+        if r == cfg.point_residue(label):
+            return label
+    return None
 
 
 def delta_graded_dim_enum(cfg, n, shape):

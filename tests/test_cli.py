@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -268,9 +269,24 @@ def test_module_bytes_counts_the_largest_module(cfg_generic):
         m = build_calibrated(cfg_generic, 4, shape, seed)
         arrays = [m.t0, m.t0v, m.tn] + m.ts + m.xs
         held.append(sum(a.nbytes for a in arrays))
-    assert module_bytes(4) == max(held)
-    assert module_bytes(10) == 352 * 2**20 <= MAX_MODULE_BYTES
-    assert module_bytes(11) == 1536 * 2**20 > MAX_MODULE_BYTES
+    assert module_bytes(4) > max(held)
+    assert module_bytes(9) == 165 * 2**20 <= MAX_MODULE_BYTES
+    assert module_bytes(10) == 705 * 2**20 > MAX_MODULE_BYTES
+
+
+def test_module_bytes_bounds_the_traced_peak(capsys):
+    # Everything a whole run allocates, the checks' transients included.
+    for n in range(1, 8):
+        tracemalloc.start()
+        try:
+            rc, _, _ = invoke(capsys, "calibrated-check", "--config",
+                              str(CONFIGS / "generic.json"), "--n", str(n),
+                              "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= module_bytes(n), (n, peak, module_bytes(n))
 
 
 def test_calibrated_check_size_guard(capsys, monkeypatch):
@@ -282,7 +298,7 @@ def test_calibrated_check_size_guard(capsys, monkeypatch):
                           str(CONFIGS / "generic.json"), "--n", "11")
     assert rc == 2
     assert out == ""
-    assert "1536 MiB" in err and "budget of 512 MiB" in err
+    assert "3009 MiB" in err and "budget of 512 MiB" in err
 
 
 def test_calibrated_check_non_generic_config_fails(capsys):

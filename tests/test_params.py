@@ -8,6 +8,8 @@ import pytest
 from blobalg import params as pm
 from blobalg.params import Formal, Integral, Paired, Residue, SelfInverse
 
+from oracles import marker_label_at_loop
+
 
 def test_residue_reduction_mod_2e(cfg_e5_formal):
     cfg = cfg_e5_formal
@@ -53,6 +55,35 @@ def test_six_special_points_distinct(any_cfg):
     assert len(set(residues)) == 6
 
 
+def test_point_residue_is_residue_of_point_site(any_cfg):
+    cfg = any_cfg
+    for label in pm.MARKER_LABELS:
+        assert cfg.point_residue(label) == cfg.residue(*cfg.point_site(label))
+
+
+def test_marker_table_matches_six_label_loop(any_cfg):
+    cfg = any_cfg
+    # +-60 holds every special point and its 2e-translates (2e <= 28)
+    for orbit in sorted(cfg.orbits()):
+        for x in range(-60, 61):
+            assert cfg.marker_label_at(orbit, x) == marker_label_at_loop(cfg, orbit, x)
+
+
+def test_marker_table_first_label_wins():
+    # alpha1 = alpha1_inv = (S, 2) on a self-inverse orbit through 4
+    cfg = pm.make_config(
+        6,
+        {"alpha1": Formal("S", 2), "alpha2": Formal("S", 8), "theta": Formal("C", 0)},
+        {"S": SelfInverse(4), "C": Paired("C*")},
+    )
+    assert cfg.point_residue("alpha1") == cfg.point_residue("alpha1_inv")
+    assert cfg.marker_label_at("S", 2) == "alpha1"
+    assert cfg.marker_label_at("S", 14) == "alpha1"  # 2e-translate
+    for orbit in sorted(cfg.orbits()):
+        for x in range(-30, 31):
+            assert cfg.marker_label_at(orbit, x) == marker_label_at_loop(cfg, orbit, x)
+
+
 def test_marker_label_at(cfg_e5_formal, cfg_einf_integral):
     cfg = cfg_e5_formal
     assert cfg.marker_label_at("A", 4) == "alpha2"
@@ -66,8 +97,6 @@ def test_marker_label_at(cfg_e5_formal, cfg_einf_integral):
     assert cfg2.marker_label_at("q", 8) == "alpha2"
     assert cfg2.marker_label_at("q", -8) == "alpha2_inv"
     assert cfg2.marker_label_at("q", 8 + 28) is None  # no translates at e=infinity
-    # a Residue may name the lattice
-    assert cfg2.marker_label_at(Residue("q", 4), 4) == "alpha1"
 
 
 def test_marker_label_is_2e_periodic(cfg_e7):

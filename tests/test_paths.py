@@ -34,6 +34,7 @@ from blobalg.tableaux import (
     residue_seq,
     shapes,
     t_lambda,
+    walk_start,
     weyl_act,
 )
 
@@ -51,6 +52,21 @@ def test_path_residues_match_tableau_residues(cfg_name):
     for n in range(1, 7):
         for t in all_tableaux(n):
             assert path_residues(cfg, embed(cfg, n, t)) == residue_seq(cfg, n, t)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_walk_start_is_embed_start(cfg_name):
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    for n in range(1, 7):
+        for t in all_tableaux(n):
+            negs = len(t.negated_set())
+            p = embed(cfg, n, t)
+            orbit, x0 = walk_start(cfg, n, t.shape, negs)
+            assert (orbit, x0) == (p.orbit, p.start)
+            # the shape's marker sits one step right of the start, plus
+            # two for every positive entry left of the bead
+            anchor = x0 + 1 + 2 * ((n - t.shape.k) // 2 - negs)
+            assert cfg.marker_label_at(orbit, anchor) == t.shape.marker
 
 
 def test_embed_endpoint_depends_only_on_shape(cfg_e7):

@@ -19,7 +19,6 @@ from blobalg.tableaux import (
     parse_shape,
     parse_tableau,
     residue_seq,
-    shape_base,
     shape_sort_key,
     shape_str,
     shapes,
@@ -198,11 +197,11 @@ def test_box_contents_center(cfg_e14_fig):
 
 
 def test_shape_base_raw(cfg_e5_formal, cfg_e14_fig):
-    assert shape_base(cfg_e5_formal, Shape(2, "alpha2")) == ("A", 4)
-    assert shape_base(cfg_e5_formal, Shape(3, "alpha2_inv")) == ("A*", -4)
-    assert shape_base(cfg_e14_fig, Shape(3, "alpha1_inv")) == ("q", -4)
+    assert cfg_e5_formal.point_site("alpha2") == ("A", 4)
+    assert cfg_e5_formal.point_site("alpha2_inv") == ("A*", -4)
+    assert cfg_e14_fig.point_site("alpha1_inv") == ("q", -4)
     # raw positions are deliberately not reduced mod 2e
-    assert shape_base(cfg_e14_fig, Shape(3, "alpha1")) == ("q", 4)
+    assert cfg_e14_fig.point_site("alpha1") == ("q", 4)
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
