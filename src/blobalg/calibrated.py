@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import INTEGRAL_ORBIT, res_to_complex
+from .params import DEFAULT_TOL, INTEGRAL_ORBIT, res_to_complex
 from .tableaux import (
     Tableau,
     count_std,
@@ -59,7 +59,6 @@ __all__ = [
     "blob_check",
 ]
 
-DEFAULT_TOL = 1e-8
 _ANNULUS = (0.5, 2.0)
 _MARGIN = 1e-6  # numeric separation demanded of the special points
 # Squares of paired orbit bases must stay this far from q-powers: such a

@@ -3,22 +3,9 @@ and the floating-point relation checks, with TSV and JSON output."""
 
 import argparse
 import json
-import os
 import sys
 
 from . import laurent
-from .calibrated import (
-    DEFAULT_TOL,
-    MAX_MODULE_BYTES,
-    NonGenericSeedError,
-    blob_check,
-    build_calibrated,
-    check_hecke_relations,
-    check_jm_spectrum,
-    check_tl_relations,
-    make_seed,
-    module_bytes,
-)
 from .decomp import (
     blocks,
     decomposition_from_delta,
@@ -26,7 +13,13 @@ from .decomp import (
     simple_dim_lower_bounds,
     simple_graded_dims,
 )
-from .params import Integral, config_to_obj, load_config, validate_config
+from .params import (
+    DEFAULT_TOL,
+    Integral,
+    config_to_obj,
+    load_config,
+    validate_config,
+)
 from .paths import degree_klr, degree_tiles, is_ladder, reduced_word
 from .tableaux import (
     count_std,
@@ -139,7 +132,7 @@ def _cmd_tableaux(args):
 
 
 def _blocks_of(args, cfg):
-    d = delta_matrix(cfg, args.n, jobs=args.jobs)
+    d = delta_matrix(cfg, args.n)
     bls = blocks(d)
     if args.block_of is not None:
         target = _shape_arg(args.block_of, args.n)
@@ -181,7 +174,7 @@ def _cmd_decomp(args):
 
 def _cmd_blocks(args):
     cfg = _load(args.config)
-    d = delta_matrix(cfg, args.n, jobs=args.jobs)
+    d = delta_matrix(cfg, args.n)
     bls = blocks(d)
     if args.format == "json":
         _out_json({"n": args.n,
@@ -207,7 +200,7 @@ def _cmd_ladders(args):
 def _cmd_bounds(args):
     cfg = _load(args.config)
     lows = simple_dim_lower_bounds(cfg, args.n)
-    dims = simple_graded_dims(cfg, args.n, jobs=args.jobs)
+    dims = simple_graded_dims(cfg, args.n)
     rows = [(s, lows[s], laurent.eval_one(dims[s]), dims[s])
             for s in shapes(args.n)]
     if args.format == "json":
@@ -226,33 +219,38 @@ def _cmd_bounds(args):
     return 0
 
 
+# (check name, function name in blobalg.calibrated).  The functions are
+# looked up when the check runs, because calibrated (and so numpy) is
+# only imported by calibrated-check.
 _CHECKS = (
-    ("hecke", check_hecke_relations),
-    ("tl", check_tl_relations),
-    ("jm", check_jm_spectrum),
-    ("blob", blob_check),
+    ("hecke", "check_hecke_relations"),
+    ("tl", "check_tl_relations"),
+    ("jm", "check_jm_spectrum"),
+    ("blob", "blob_check"),
 )
 
 
 def _cmd_calibrated_check(args):
+    from . import calibrated
+
     cfg = _load(args.config)
-    need = module_bytes(args.n)
-    if need > MAX_MODULE_BYTES:
+    need = calibrated.module_bytes(args.n)
+    if need > calibrated.MAX_MODULE_BYTES:
         raise _UsageError(
             "calibrated-check at n=%d needs %.0f MiB for its largest module "
             "and its relation checks, over the budget of %d MiB"
-            % (args.n, need / 2**20, MAX_MODULE_BYTES // 2**20))
+            % (args.n, need / 2**20, calibrated.MAX_MODULE_BYTES // 2**20))
     try:
-        seed = make_seed(cfg, seed=args.seed, tol=args.tol)
+        seed = calibrated.make_seed(cfg, seed=args.seed, tol=args.tol)
         results = []
         for shape in shapes(args.n):
-            mod = build_calibrated(cfg, args.n, shape, seed)
-            for name, checker in _CHECKS:
-                rep = checker(mod)
+            mod = calibrated.build_calibrated(cfg, args.n, shape, seed)
+            for name, func in _CHECKS:
+                rep = getattr(calibrated, func)(mod)
                 rel = rep["relations"]
                 results.append((shape, name, rep["max_residual"], rep["pass"],
                                 max(rel, key=rel.get)))
-    except NonGenericSeedError as exc:
+    except calibrated.NonGenericSeedError as exc:
         raise _CheckFailure(str(exc)) from None
     worst = max(r[2] for r in results)
     ok = all(r[3] for r in results)
@@ -352,9 +350,9 @@ def _parser():
             sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                             help="residual tolerance (default %g)" % DEFAULT_TOL)
         if jobs:
-            sp.add_argument("--jobs", type=_positive_int,
-                            default=os.cpu_count() or 1,
-                            help="worker processes (default: all cores)")
+            sp.add_argument("--jobs", type=_positive_int, default=1,
+                            help="accepted and ignored: Delta is built "
+                                 "serially")
         sp.add_argument("--format", choices=("tsv", "json"), default="tsv",
                         help="output format (default tsv)")
         sp.set_defaults(func=func)

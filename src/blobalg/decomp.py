@@ -1,24 +1,31 @@
 """Graded Delta-matrices, their equivalence blocks, and the unique
 N*A factorization that yields the conjectural graded decomposition
-matrix, simple dimensions, and ladder lower bounds."""
+matrix, simple dimensions, and ladder lower bounds.
 
-import os
+Graded counts over the tableaux of one shape come from one transfer DP
+over its walks (_walks).  With no target it gives the graded dimension
+of the standard module; with the residue sequence of t_mu as target it
+gives the Delta entry (la, mu), which delta_matrix computes only where
+an exact block filter allows a nonzero value.  The cstd column sum
+is kept in the tests as the oracle (``delta_matrix_cstd`` in
+tests/oracles.py).
+"""
+
 import warnings
 from dataclasses import dataclass, field, replace
 
 from . import laurent
 from .paths import (
     EmbeddedPath,
-    degree_tiles,
     embed,
     max_shape,
     positions,
-    row_degree,
+    row_degrees,
 )
 from .tableaux import (
     Shape,
+    box_contents,
     count_std,
-    cstd,
     max_negatives,
     residue_seq,
     shape_str,
@@ -153,34 +160,118 @@ class GradedMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _delta_column(args):
-    cfg, n, order, mu = args
-    target = residue_seq(cfg, n, t_lambda(n, mu))
-    col = []
-    for la in order:
-        ent = {}
-        for s in cstd(cfg, n, la, target):
-            ent = laurent.add(ent, {degree_tiles(cfg, n, s): 1})
-        col.append(ent)
-    return col
+def _orbit_tables(cfg, n, order, ids):
+    """Lattice tables for the walks of the given shapes, one per orbit:
+    ``(se, sw, row)``, where se[p] and sw[p] are the ids (interned in
+    ``ids``) of the residues that a step reads at position p going SE
+    and SW (tableaux.step_residue at step 0 from p), and row is
+    paths.row_degrees.  They span every position such a walk reaches
+    or reads: x0 - 1 .. x0 + 2n over the shapes' walk starts x0."""
+    spans = {}
+    for shape in order:
+        orbit, x0 = walk_start(cfg, n, shape, 0)
+        lo, hi = spans.get(orbit, (x0, x0))
+        spans[orbit] = (min(lo, x0), max(hi, x0))
+    out = {}
+    for orbit, (lo, hi) in spans.items():
+        span = range(lo - 1, hi + 2 * n + 1)
+        se = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, True), len(ids))
+              for p in span}
+        sw = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, False), len(ids))
+              for p in span}
+        out[orbit] = (se, sw, row_degrees(cfg, orbit, lo - 1, hi + 2 * n))
+    return out
 
 
-def _pool_size(jobs, columns, cpus):
-    """Worker processes for a Delta build: no more than were asked for,
-    than there are columns to build, or than the machine has cores."""
-    return max(1, min(jobs, columns, cpus))
+def _walks(cfg, n, shape, tables):
+    """The walk DP of one shape, with its tables built once.
+
+    Returns ``graded(target=None)``: the sum of v^deg over the standard
+    tableaux of the shape whose walks read the residue ids ``target``
+    (one per step), or over all of them when target is None.  A tableau
+    with c negative entries walks from x0 + 2c, where x0 is walk_start
+    at c = 0; after j steps with r SW steps still to come it sits at
+    x = x0 + j + 2r, so the state (j, r) fixes x and the starts of all c
+    merge into one DP, r = c at j = 0 and r = 0 at j = n.  Step j + 1
+    from there reads position x + j + 1 going SE and x - j - 1 going
+    SW, so the SE read depends on j + r alone and the SW read on r
+    alone.  Tile row j + 1 depends only on x (paths.row_degrees), so each
+    state shifts its polynomial by that row's degree, memoized per
+    reached state and shared by every target.  ``tables`` is
+    _orbit_tables over shapes that include this one; its ids are those
+    of the targets.
+    """
+    orbit, x0 = walk_start(cfg, n, shape, 0)
+    se_at, sw_at, row = tables[orbit]
+    xs_l = positions(embed(cfg, n, t_lambda(n, shape)))
+    top = max_negatives(n, shape)
+    se = [se_at[x0 + 2 * s + 1] for s in range(n)]
+    sw = [sw_at[x0 + 2 * r - 1] for r in range(top + 1)]
+    rd = [[None] * (min(top, n - j) + 1) for j in range(n)]  # memo per (j, r)
+
+    def graded(target=None):
+        layer = {r: _ONE for r in range(top + 1)}
+        for j in range(n):
+            want = None if target is None else target[j]
+            degs = rd[j]
+            nxt = {}
+            for r, poly in layer.items():
+                down = r < n - j and (want is None or se[j + r] == want)
+                left = r > 0 and (want is None or sw[r] == want)
+                if not (down or left):
+                    continue
+                d = degs[r]
+                if d is None:
+                    d = degs[r] = row(j + 1, x0 + j + 2 * r, xs_l[j])
+                moved = {e + d: c for e, c in poly.items()} if d else poly
+                if down:
+                    nxt[r] = laurent.add(nxt[r], moved) if r in nxt else moved
+                if left:
+                    nxt[r - 1] = (laurent.add(nxt[r - 1], moved)
+                                  if r - 1 in nxt else moved)
+            if not nxt:
+                return {}
+            layer = nxt
+        return dict(layer.get(0, {}))
+
+    return graded
 
 
-def delta_matrix(cfg, n, restrict=None, jobs=1):
+def _pair_class(cfg, n, shape, ids):
+    """Block invariant of a shape: the multiset of unordered pairs
+    {c, c^-1} over its box contents, as sorted residue ids (the smaller
+    id of each pair names it)."""
+    return tuple(sorted(
+        min(ids.setdefault(c, len(ids)),
+            ids.setdefault(cfg.res_invert(c), len(ids)))
+        for c in box_contents(cfg, n, shape)[1:]))
+
+
+def _delta_row(cfg, n, la, cols, ids, tables):
+    """Row la of Delta against columns given as (pair class, residue
+    ids of t_mu): the walk DP of la for every column in its block
+    class, zero for the others."""
+    key = _pair_class(cfg, n, la, ids)
+    graded = _walks(cfg, n, la, tables)
+    return [graded(target) if cls == key else {} for cls, target in cols]
+
+
+def delta_matrix(cfg, n, restrict=None):
     """Matrix of graded coloured-tableau counts, rows and columns in
     the canonical shape order.
 
     Entry (la, mu) is the sum of v^deg over the standard tableaux of
-    shape la coloured like T_mu.  ``restrict`` cuts the matrix down to
-    the given shapes; ``jobs`` > 1 distributes columns over processes,
-    at most one per column and per core.  Raises RuntimeError if the
-    result is not lower unitriangular with zero entries between
-    distinct shapes of equal k.
+    shape la coloured like T_mu, that is, whose residue sequence is
+    R_mu = res(t_mu).  It is the walk DP of la (see _walks) with a step
+    allowed only when it reads R_mu at that step; no tableau is listed.
+    The DP runs only where la and mu share the multiset of unordered
+    pairs {c, c^-1} of their box contents.  That filter is exact: a
+    tableau's residues are its shape's box contents, each perhaps
+    inverted, so res(t) = R_mu forces the pair multisets of la and mu
+    to agree, and every other entry is zero.  ``restrict`` cuts the
+    matrix down to the given shapes.  Raises RuntimeError if the result
+    is not lower unitriangular with zero entries between distinct
+    shapes of equal k.
     """
     order = shapes(n)
     if restrict is not None:
@@ -190,16 +281,14 @@ def delta_matrix(cfg, n, restrict=None, jobs=1):
             raise ValueError("shapes not in the poset: %s"
                              % ", ".join(sorted(map(_label, missing))))
         order = [s for s in order if s in wanted]
-    tasks = [(cfg, n, order, mu) for mu in order]
-    workers = _pool_size(jobs, len(order), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cols = list(pool.map(_delta_column, tasks))
-    else:
-        cols = [_delta_column(t) for t in tasks]
-    rows = tuple(tuple(cols[j][i] for j in range(len(order)))
-                 for i in range(len(order)))
+    ids = {}      # Residue -> small int
+    tables = _orbit_tables(cfg, n, order, ids)
+    cols = [(_pair_class(cfg, n, mu, ids),
+             tuple(ids.setdefault(r, len(ids))
+                   for r in residue_seq(cfg, n, t_lambda(n, mu))))
+            for mu in order]
+    rows = tuple(tuple(_delta_row(cfg, n, la, cols, ids, tables))
+                 for la in order)
     for i, la in enumerate(order):
         if rows[i][i] != _ONE:
             raise RuntimeError("diagonal entry != 1 at %s" % _label(la))
@@ -276,11 +365,10 @@ def na_factorize(delta):
     return nmat, amat
 
 
-def decomposition_matrix(cfg, n, restrict=None, jobs=1):
+def decomposition_matrix(cfg, n, restrict=None):
     """Conjectural graded decomposition matrix: the N factor of the
     Delta-matrix (see decomposition_from_delta)."""
-    return decomposition_from_delta(
-        delta_matrix(cfg, n, restrict=restrict, jobs=jobs))
+    return decomposition_from_delta(delta_matrix(cfg, n, restrict=restrict))
 
 
 def decomposition_from_delta(delta):
@@ -299,42 +387,21 @@ def decomposition_from_delta(delta):
 
 def delta_graded_dim(cfg, n, shape):
     """Graded dimension of a standard module: sum of v^deg over the
-    standard tableaux of the shape, by a transfer DP over the walks.
-
-    A tableau with c negative entries walks from x0 + 2c, where x0 is
-    tableaux.walk_start at c = 0.  After j steps with r SW steps still
-    to come it sits at x = x0 + j + 2r, so the state (j, r) fixes x,
-    and the starts of all c merge into one DP with r = c at j = 0 and
-    r = 0 at j = n.  Tile row j + 1 depends only on x
-    (paths.row_degree), so each state shifts its polynomial by that
-    row's degree.  The enumeration over all tableaux is kept in the
+    standard tableaux of the shape, by the walk DP of _walks with no
+    residue target.  The enumeration over all tableaux is kept in the
     tests as the oracle (``delta_graded_dim_enum`` in tests/oracles.py).
     """
-    orbit, base = walk_start(cfg, n, shape, 0)
-    xs_l = positions(embed(cfg, n, t_lambda(n, shape)))
-    layer = {r: dict(_ONE) for r in range(max_negatives(n, shape) + 1)}
-    for j in range(n):
-        nxt = {}
-        for r, poly in layer.items():
-            if r > n - j:
-                continue  # too few steps left for the remaining SW steps
-            d = row_degree(cfg, orbit, j + 1, base + j + 2 * r, xs_l[j])
-            moved = {e + d: c for e, c in poly.items()}
-            nxt[r] = laurent.add(nxt.get(r, {}), moved)
-            if r:
-                nxt[r - 1] = laurent.add(nxt.get(r - 1, {}), moved)
-        layer = nxt
-    return layer.get(0, {})
+    return _walks(cfg, n, shape, _orbit_tables(cfg, n, [shape], {}))()
 
 
-def simple_graded_dims(cfg, n, jobs=1):
+def simple_graded_dims(cfg, n):
     """Conjectural graded dimensions of the simple modules, solved by
     back-substitution against the decomposition matrix.
 
     Raises RuntimeError if a standard module's graded dimension does
     not count its tableaux at v = 1.
     """
-    nmat = decomposition_matrix(cfg, n, jobs=jobs)
+    nmat = decomposition_matrix(cfg, n)
     dims = {}
     for r, la in enumerate(nmat.shapes):
         acc = delta_graded_dim(cfg, n, la)
@@ -403,20 +470,14 @@ def simple_dim_lower_bounds(cfg, n):
     form via is_ladder is kept in the tests as the oracle
     (``simple_dim_lower_bounds_enum`` in tests/oracles.py).
     """
-    ids = {}      # Residue -> small int
     least = {}    # class key -> c*
     per_shape = []
+    # Step j + 1 from x reads position x + j + 1 (SE) or x - j - 1 (SW).
+    tables = _orbit_tables(cfg, n, shapes(n), {})
     for shape in shapes(n):
         top = max_negatives(n, shape)
-        orbit, lo = walk_start(cfg, n, shape, 0)
-        # Step j + 1 from x reads position p = x + j + 1 (SE) or x - j - 1
-        # (SW), which is step_residue at step 0 from p.  Starts lie in
-        # lo .. lo + 2n.
-        span = range(lo - 2 * n, lo + 4 * n + 1)
-        se = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, True), len(ids))
-              for p in span}
-        sw = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, False), len(ids))
-              for p in span}
+        orbit, _ = walk_start(cfg, n, shape, 0)
+        se, sw, _ = tables[orbit]
         groups = {}
         widest = []
         for c in range(top + 1):

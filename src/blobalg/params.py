@@ -27,6 +27,7 @@ from typing import Mapping, Optional, Union
 
 __all__ = [
     "INTEGRAL_ORBIT",
+    "DEFAULT_TOL",
     "POINT_NAMES",
     "MARKER_LABELS",
     "ALPHA_LABELS",
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 INTEGRAL_ORBIT = "q"
+
+# Default residual tolerance of the calibrated relation checks; defined
+# here, away from numpy, so that the command-line parser can show it.
+DEFAULT_TOL = 1e-8
 
 # Points declared in a configuration.
 POINT_NAMES = ("alpha1", "alpha2", "theta")

@@ -56,7 +56,7 @@ __all__ = [
     "tiles",
     "tile_degree",
     "degree_tiles",
-    "row_degree",
+    "row_degrees",
     "tau_order",
     "reduced_word",
     "word_to_tableau",
@@ -266,17 +266,34 @@ def degree_tiles(cfg, n, t):
     return sum(tile_degree(cfg, orbit, tile) for tile in tiles(cfg, n, t))
 
 
-def row_degree(cfg, orbit, yc, a, b):
-    """Degree of row yc of the tile diagram alone, for a walk whose
-    vertex yc-1 sits at x = a against a distinguished path at x = b.
+def row_degrees(cfg, orbit, lo, hi):
+    """Degrees of single rows of the tile diagram on one orbit, as a
+    function f(yc, a, b) costing O(1) per row: the degree of row yc for
+    a walk whose vertex yc - 1 sits at x = a against a distinguished
+    path at x = b, for a and b in lo..hi with a = b mod 2 (a walk and
+    the distinguished path at the same vertex).
 
     degree_tiles is the sum of these over the rows; each row depends on
     the walk only through a, which is what lets a transfer DP over walk
-    positions replace the per-tableau sum.
+    positions replace the per-tableau sum.  A tile scores by its x alone
+    within row 1, where it touches the marker row, and within the rows
+    below (tile_degree), so a row is a difference of prefix sums over
+    the positions of one parity.  The tile-by-tile sum is kept in the
+    tests as the oracle (``row_degree`` in tests/oracles.py).
     """
-    lo, hi = min(a, b), max(a, b)
-    return sum(tile_degree(cfg, orbit, Tile(xc, yc, "L" if xc < b else "R"))
-               for xc in range(lo + 1, hi, 2))
+    sums = []
+    for yc in (1, 2):
+        acc = {lo - 2: 0, lo - 1: 0}   # acc[x]: tiles at x, x - 2, ... >= lo
+        for x in range(lo, hi + 1):
+            acc[x] = acc[x - 2] + tile_degree(cfg, orbit, Tile(x, yc, "L"))
+        sums.append(acc)
+    first, below = sums
+
+    def degree(yc, a, b):
+        acc = first if yc == 1 else below
+        return acc[max(a, b) - 1] - acc[min(a, b) - 1]
+
+    return degree
 
 
 # -- tile order and reduced words ----------------------------------------

@@ -6,11 +6,23 @@ two integral at even finite e with mirrored alpha markers, and one
 integral at odd e (hyperplanes on odd positions).  The generic
 configuration keeps every special point on its own orbit so that
 nothing ever collides.
+
+``valid_configs`` is a hypothesis strategy of random configurations
+beyond these six, kept only when validate_config finds no violation.
 """
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from blobalg.params import Formal, Integral, Paired, make_config
+from blobalg.params import (
+    Formal,
+    Integral,
+    Paired,
+    SelfInverse,
+    make_config,
+    validate_config,
+)
 
 
 def _cfg_e5_formal():
@@ -70,6 +82,37 @@ CONFIG_FACTORIES = {
     "e7": _cfg_e7,
     "generic": _cfg_generic,
 }
+
+
+_ORBITS = ("A", "B")
+
+
+@st.composite
+def valid_configs(draw):
+    """A random configuration that passes validate_config: e finite
+    (3..12) or infinite; each point integral or on one of two formal
+    orbits, each orbit paired with a partner or self-inverse about an
+    even center."""
+    e = draw(st.one_of(st.none(), st.integers(min_value=3, max_value=12)))
+    span = 2 * (e or 12)
+    points = {}
+    for name in ("alpha1", "alpha2", "theta"):
+        if draw(st.booleans()):
+            points[name] = Integral(draw(st.integers(-span, span)))
+        else:
+            points[name] = Formal(draw(st.sampled_from(_ORBITS)),
+                                  2 * draw(st.integers(-span // 2, span // 2)))
+    inversions = {}
+    for orbit in sorted({p.orbit for p in points.values()
+                         if isinstance(p, Formal)}):
+        if draw(st.booleans()):
+            inversions[orbit] = Paired(orbit + "*")
+        else:
+            inversions[orbit] = SelfInverse(
+                2 * draw(st.integers(-span // 2, span // 2)))
+    cfg = make_config(e, points, inversions)
+    assume(not validate_config(cfg))
+    return cfg
 
 
 @pytest.fixture

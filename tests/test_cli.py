@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-import blobalg.cli as cli
+import blobalg.calibrated as calibrated
 from blobalg.calibrated import (
     MAX_MODULE_BYTES,
     build_calibrated,
@@ -244,8 +244,8 @@ def test_calibrated_check_json_names_worst_relation(capsys):
     expected = []
     for shape in shapes(3):
         mod = build_calibrated(cfg, 3, shape, seed)
-        for _, checker in _CHECKS:
-            rel = checker(mod)["relations"]
+        for _, func in _CHECKS:
+            rel = getattr(calibrated, func)(mod)["relations"]
             expected.append(max(rel, key=rel.get))
     assert [c["worst_relation"] for c in checks] == expected
 
@@ -293,7 +293,7 @@ def test_calibrated_check_size_guard(capsys, monkeypatch):
     def no_build(*args):
         raise AssertionError("module built past the size guard")
 
-    monkeypatch.setattr(cli, "build_calibrated", no_build)
+    monkeypatch.setattr(calibrated, "build_calibrated", no_build)
     rc, out, err = invoke(capsys, "calibrated-check", "--config",
                           str(CONFIGS / "generic.json"), "--n", "11")
     assert rc == 2
@@ -343,6 +343,24 @@ def test_byte_identical_reruns(capsys):
     rc2, out2, _ = invoke(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_jobs_flag_is_ignored(capsys):
+    args = ("decomp", "--config", str(CONFIGS / "e5-formal.json"), "--n", "8")
+    rc1, out1, _ = invoke(capsys, *args, "--jobs", "1")
+    rc2, out2, _ = invoke(capsys, *args, "--jobs", "2")
+    assert rc1 == rc2 == 0
+    assert out1 and out2 == out1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # only calibrated-check needs numpy; it imports it when it runs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, blobalg.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_console_script_installed():

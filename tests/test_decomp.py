@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from blobalg import decomp, laurent
 from blobalg.decomp import (
     GradedMatrix,
-    _pool_size,
+    _pair_class,
     blocks,
     decomposition_matrix,
     delta_graded_dim,
@@ -17,6 +18,7 @@ from blobalg.decomp import (
     simple_dim_lower_bounds,
     simple_graded_dims,
 )
+from blobalg.params import load_config
 from blobalg.paths import degree_tiles, residue_class_tableaux
 from blobalg.tableaux import (
     Shape,
@@ -28,8 +30,14 @@ from blobalg.tableaux import (
     t_lambda,
 )
 
-from conftest import CONFIG_FACTORIES
-from oracles import delta_graded_dim_enum, simple_dim_lower_bounds_enum
+from conftest import CONFIG_FACTORIES, valid_configs
+from oracles import (
+    delta_graded_dim_enum,
+    delta_matrix_cstd,
+    simple_dim_lower_bounds_enum,
+)
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 # -- GradedMatrix plumbing -------------------------------------------------
@@ -141,20 +149,6 @@ def test_restrict_rejects_unknown_shape(cfg_e5_formal):
         delta_matrix(cfg_e5_formal, 4, restrict=[Shape(3, "alpha1")])
 
 
-def test_parallel_jobs_agree(cfg_e5_formal):
-    assert delta_matrix(cfg_e5_formal, 5, jobs=2) == delta_matrix(cfg_e5_formal, 5)
-
-
-def test_pool_size_is_clamped():
-    # pure arithmetic: no pool of these sizes is ever started
-    assert _pool_size(10**6, 20, 2) == 2
-    assert _pool_size(10**6, 3, 64) == 3
-    assert _pool_size(10**9, 10**9, 1) == 1
-    assert _pool_size(4, 20, 64) == 4
-    assert _pool_size(1, 20, 64) == 1
-    assert _pool_size(8, 0, 8) == 1
-
-
 @pytest.mark.parametrize("entry, match", [
     (lambda i, j: {0: 1} if i == j else ({1: 1} if i < j else {}),
      "above the diagonal"),
@@ -164,14 +158,51 @@ def test_pool_size_is_clamped():
      "equal k"),
 ])
 def test_delta_invariants_raise(monkeypatch, entry, match):
-    def fake_column(args):
-        _, _, order, mu = args
-        j = order.index(mu)
-        return [entry(i, j) for i in range(len(order))]
+    order = shapes(4)
 
-    monkeypatch.setattr(decomp, "_delta_column", fake_column)
+    def fake_row(cfg, n, la, cols, *_):
+        i = order.index(la)
+        return [entry(i, j) for j in range(len(cols))]
+
+    monkeypatch.setattr(decomp, "_delta_row", fake_row)
     with pytest.raises(RuntimeError, match=match):
         delta_matrix(CONFIG_FACTORIES["e7"](), 4)
+
+
+def _filter_rejects_only_zeros(cfg, n, oracle):
+    """Assert that every pair the block filter skips is zero in the
+    oracle; return how many pairs it skips."""
+    ids = {}
+    cls = {s: _pair_class(cfg, n, s, ids) for s in oracle.shapes}
+    rejected = 0
+    for i, la in enumerate(oracle.shapes):
+        for j, mu in enumerate(oracle.shapes):
+            if cls[la] != cls[mu]:
+                assert oracle.rows[i][j] == {}, (shape_str(la), shape_str(mu))
+                rejected += 1
+    return rejected
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_delta_matches_cstd_oracle(path):
+    cfg = load_config(path)
+    rejected = 0
+    for n in range(1, 15):
+        d = delta_matrix(cfg, n)
+        oracle = delta_matrix_cstd(cfg, n)
+        assert d == oracle, n
+        assert d.to_tsv() == oracle.to_tsv(), n
+        rejected += _filter_rejects_only_zeros(cfg, n, oracle)
+    assert rejected  # the filter is not vacuous on any shipped config
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_delta_matches_cstd_oracle_on_random_configs(cfg):
+    for n in range(1, 8):
+        oracle = delta_matrix_cstd(cfg, n)
+        assert delta_matrix(cfg, n) == oracle, n
+        _filter_rejects_only_zeros(cfg, n, oracle)
 
 
 @pytest.mark.parametrize("cfg_name", ["e5_formal", "e7"])
@@ -453,6 +484,14 @@ def test_simple_dims_v1_count_identity(cfg_name):
 def test_delta_graded_dim_matches_enumeration(cfg_name):
     cfg = CONFIG_FACTORIES[cfg_name]()
     for n in range(1, 11):
+        for la in shapes(n):
+            assert delta_graded_dim(cfg, n, la) == delta_graded_dim_enum(cfg, n, la)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_delta_graded_dim_matches_enumeration_on_random_configs(cfg):
+    for n in range(1, 8):
         for la in shapes(n):
             assert delta_graded_dim(cfg, n, la) == delta_graded_dim_enum(cfg, n, la)
 

@@ -19,6 +19,7 @@ from blobalg.paths import (
     reduced_word,
     reflect,
     residue_class_tableaux,
+    row_degrees,
     sim_class_tableaux,
     sim_neighbors,
     tiles,
@@ -26,6 +27,7 @@ from blobalg.paths import (
     width,
     word_to_tableau,
 )
+from blobalg.params import MARKER_LABELS
 from blobalg.tableaux import (
     Shape,
     Tableau,
@@ -39,6 +41,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
+from oracles import row_degree
 
 
 def all_tableaux(n):
@@ -185,6 +188,21 @@ def test_degree_definitions_agree():
         for n in range(1, 7):
             for t in all_tableaux(n):
                 assert degree_tiles(cfg, n, t) == degree_klr(cfg, n, t), (name, n, t)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_row_degrees_match_row_degree(cfg_name):
+    # the prefix-sum rows against the tile-by-tile rows, on every orbit a
+    # walk can use, for all equal-parity a, b in the span
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    lo, hi = -17, 23
+    for orbit in sorted({cfg.point_site(l)[0] for l in MARKER_LABELS}):
+        row = row_degrees(cfg, orbit, lo, hi)
+        for yc in (1, 2, 3, 9):
+            for a in range(lo, hi + 1):
+                for b in range(lo + (a - lo) % 2, hi + 1, 2):
+                    assert row(yc, a, b) == row_degree(cfg, orbit, yc, a, b), (
+                        orbit, yc, a, b)
 
 
 def test_figure_small_degrees(cfg_e14_mirror):
