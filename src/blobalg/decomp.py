@@ -398,13 +398,15 @@ def simple_graded_dims(cfg, n):
     """Conjectural graded dimensions of the simple modules, solved by
     back-substitution against the decomposition matrix.
 
-    Raises RuntimeError if a standard module's graded dimension does
-    not count its tableaux at v = 1.
+    The graded dimension of each standard module is delta_graded_dim's
+    walk DP, over one set of orbit tables built for all shapes.  Raises
+    RuntimeError if one does not count its tableaux at v = 1.
     """
     nmat = decomposition_matrix(cfg, n)
+    tables = _orbit_tables(cfg, n, nmat.shapes, {})
     dims = {}
     for r, la in enumerate(nmat.shapes):
-        acc = delta_graded_dim(cfg, n, la)
+        acc = _walks(cfg, n, la, tables)()
         if laurent.eval_one(acc) != count_std(n, la):
             raise RuntimeError(
                 "graded dimension of %s is %d at v=1, but the shape has %d "

@@ -13,6 +13,15 @@ and the path of its shape's distinguished tableau, the combinatorial
 degree read off the tiles, the reduced word obtained by peeling tiles
 in a canonical order, and the equivalent degree computed by pushing the
 reduced word through the residue sequence.
+
+What these per-tableau statistics share depends on the shape alone:
+the walk start, t_lambda's vertex positions, the row degrees and
+t_lambda's residues as interned ids (ShapeTables).  shape_tables
+builds them once per (n, shape) and keeps them on the configuration,
+so a tableau costs n row lookups for degree_tiles and one pass over its
+tiles for tau_order and degree_klr.  The two degrees are still computed
+independently: degree_tiles scores rows, degree_klr threads the
+reduced word through the residue ids.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .params import ALPHA_LABELS
 from .tableaux import (
     Shape,
     Tableau,
+    box_contents,
     from_negated_set,
     is_standard,
     is_valid_shape,
@@ -53,6 +63,8 @@ __all__ = [
     "sim_class_tableaux",
     "residue_class_tableaux",
     "Tile",
+    "ShapeTables",
+    "shape_tables",
     "tiles",
     "tile_degree",
     "degree_tiles",
@@ -227,17 +239,88 @@ class Tile(NamedTuple):
         return self.yc - 1
 
 
+class ShapeTables(NamedTuple):
+    """What the statistics of the tableaux of one (n, shape) share,
+    built once per configuration by shape_tables.
+
+    x0 is the walk start with no negative entry (tableaux.walk_start)
+    and xs_l the vertex positions of t_lambda's walk; row is row_degrees
+    of the walk's orbit over x0 - 1 .. x0 + 2n, which holds every vertex
+    a walk of the shape reaches.  seq is the residue sequence of
+    t_lambda as small ids, interned over the box contents and their
+    inverses (every residue s_0 and the s_j can move into it); inverse
+    maps an id to the id of its inverse, s0 to the degree of s_0 acting
+    on it, and near holds the id pairs (a, b) with b = a q^(+-2).
+    """
+    x0: int
+    xs_l: tuple
+    row: object
+    seq: tuple
+    inverse: tuple
+    s0: tuple
+    near: frozenset
+
+
+def shape_tables(cfg, n, shape):
+    """The ShapeTables of (n, shape), memoized on the configuration."""
+    memo = cfg._shape_tables
+    tab = memo.get((n, shape))
+    if tab is None:
+        tab = memo[(n, shape)] = _build_shape_tables(cfg, n, shape)
+    return tab
+
+
+def _build_shape_tables(cfg, n, shape):
+    t0 = t_lambda(n, shape)
+    orbit, x0 = walk_start(cfg, n, shape, 0)
+    ids = {}       # Residue -> id
+    for c in box_contents(cfg, n, shape)[1:]:
+        ids.setdefault(c, len(ids))
+        ids.setdefault(cfg.res_invert(c), len(ids))
+    res = list(ids)
+    inverse = tuple(ids[cfg.res_invert(r)] for r in res)
+    alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
+    return ShapeTables(
+        x0=x0,
+        xs_l=tuple(positions(embed(cfg, n, t0))),
+        row=row_degrees(cfg, orbit, x0 - 1, x0 + 2 * n),
+        seq=tuple(ids[r] for r in residue_seq(cfg, n, t0)),
+        inverse=inverse,
+        s0=tuple(-2 if inverse[i] == i else 1 if r in alphas else 0
+                 for i, r in enumerate(res)),
+        near=frozenset((i, ids[s]) for i, r in enumerate(res)
+                       for s in (cfg.res_shift(r, 1), cfg.res_shift(r, -1))
+                       if s in ids),
+    )
+
+
+def _walk(cfg, n, t):
+    """The shape's tables and the vertex positions of t's walk: it
+    starts at x0 + 2|negs| and steps left exactly at the negated values,
+    so no path is embedded."""
+    tab = shape_tables(cfg, n, t.shape)
+    negs = t.negated_set()
+    x = tab.x0 + 2 * len(negs)
+    xs = [x]
+    for j in range(1, n + 1):
+        x += -1 if j in negs else 1
+        xs.append(x)
+    return tab, xs
+
+
 def tiles(cfg, n, t):
     """Diamond tiles between t's path and its shape's distinguished
     path, row by row."""
-    xs_t = positions(embed(cfg, n, t))
-    xs_l = positions(embed(cfg, n, t_lambda(n, t.shape)))
+    tab, xs_t = _walk(cfg, n, t)
     out = []
     for yc in range(1, n + 1):
-        a, b = xs_t[yc - 1], xs_l[yc - 1]
-        lo, hi = min(a, b), max(a, b)
-        for xc in range(lo + 1, hi, 2):
-            out.append(Tile(xc, yc, "L" if xc < b else "R"))
+        a, b = xs_t[yc - 1], tab.xs_l[yc - 1]
+        if a < b:
+            for xc in range(a + 1, b, 2):
+                out.append(Tile(xc, yc, "L"))
+        else:
+            for xc in range(b + 1, a, 2):
+                out.append(Tile(xc, yc, "R"))
     return out
 
 
@@ -262,8 +345,14 @@ def tile_degree(cfg, orbit, tile):
 
 
 def degree_tiles(cfg, n, t):
-    orbit = embed(cfg, n, t).orbit
-    return sum(tile_degree(cfg, orbit, tile) for tile in tiles(cfg, n, t))
+    """Sum of tile_degree over the tiles of t, one row_degrees lookup
+    per row of the shape's tables (shape_tables).  It reads no residue,
+    and degree_klr reads no row degree.  The tile-by-tile sum over the
+    embedded paths is kept in the tests as the oracle
+    (``degree_tiles_tilewise`` in tests/oracles.py)."""
+    tab, xs_t = _walk(cfg, n, t)
+    row, xs_l = tab.row, tab.xs_l
+    return sum(row(yc, xs_t[yc - 1], xs_l[yc - 1]) for yc in range(1, n + 1))
 
 
 def row_degrees(cfg, orbit, lo, hi):
@@ -298,30 +387,31 @@ def row_degrees(cfg, orbit, lo, hi):
 
 # -- tile order and reduced words ----------------------------------------
 
-def _neighbors(u, v):
-    return abs(u.xc - v.xc) == 1 and abs(u.yc - v.yc) == 1
-
-
-def _linearize(ts, before, key):
-    """Topological order respecting `before` on adjacent tiles, greedy
-    by `key` among the available ones."""
-    succ = {u: [] for u in ts}
-    indeg = {u: 0 for u in ts}
-    for u in ts:
-        for v in ts:
-            if u is not v and _neighbors(u, v) and before(u, v):
-                succ[u].append(v)
-                indeg[v] += 1
-    heap = [(key(u), u) for u in ts if indeg[u] == 0]
+def _linearize(ts, ahead, key):
+    """Topological order of the tiles in which each tile precedes its
+    diagonal neighbours in column xc + ahead, greedy by `key` among the
+    available ones.  Neighbours are found by position, at most two per
+    tile; keys are unique per tile, so the order does not depend on how
+    the edges were listed."""
+    at = {(u.xc, u.yc): i for i, u in enumerate(ts)}
+    succ = [[] for _ in ts]
+    indeg = [0] * len(ts)
+    for i, u in enumerate(ts):
+        for dy in (-1, 1):
+            j = at.get((u.xc + ahead, u.yc + dy))
+            if j is not None:
+                succ[i].append(j)
+                indeg[j] += 1
+    heap = [(key(u), i) for i, u in enumerate(ts) if not indeg[i]]
     heapq.heapify(heap)
     out = []
     while heap:
-        _, u = heapq.heappop(heap)
-        out.append(u)
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, (key(v), v))
+        _, i = heapq.heappop(heap)
+        out.append(ts[i])
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                heapq.heappush(heap, (key(ts[j]), j))
     if len(out) != len(ts):
         raise RuntimeError("tile precedence is cyclic")  # cannot happen
     return out
@@ -333,12 +423,8 @@ def tau_order(cfg, n, t):
     ts = tiles(cfg, n, t)
     left = [u for u in ts if u.side == "L"]
     right = [u for u in ts if u.side == "R"]
-    ordered = _linearize(
-        left, lambda u, v: u.xc > v.xc, key=lambda u: (u.top_y, -u.xc)
-    )
-    ordered += _linearize(
-        right, lambda u, v: u.xc < v.xc, key=lambda u: (-u.top_y, u.xc)
-    )
+    ordered = _linearize(left, -1, key=lambda u: (u.top_y, -u.xc))
+    ordered += _linearize(right, 1, key=lambda u: (-u.top_y, u.xc))
     return ordered
 
 
@@ -361,24 +447,28 @@ def word_to_tableau(n, shape, word, check=False):
 
 def degree_klr(cfg, n, t):
     """Degree recomputed by threading the reduced word through the
-    residue sequence of the distinguished tableau."""
-    seq = list(residue_seq(cfg, n, t_lambda(n, t.shape)))
-    alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
+    residue sequence of the distinguished tableau, tile by tile in
+    tau_order: s_0 scores by the residue it inverts, s_j by the pair it
+    swaps (-2 if equal, +1 if q^(+-2) apart).  The residues are the
+    interned ids of the shape's tables (shape_tables); no row degree is
+    read, so this stays an independent check of degree_tiles.  The form
+    on Residue objects is kept in the tests as the oracle
+    (``degree_klr_residues`` in tests/oracles.py)."""
+    tab = shape_tables(cfg, n, t.shape)
+    seq = list(tab.seq)
+    inverse, s0, near = tab.inverse, tab.s0, tab.near
     deg = 0
     for u in tau_order(cfg, n, t):
         c = u.content
         if c == 0:
             r = seq[0]
-            if cfg.res_invert(r) == r:
-                deg -= 2
-            elif r in alphas:
-                deg += 1
-            seq[0] = cfg.res_invert(r)
+            deg += s0[r]
+            seq[0] = inverse[r]
         else:
             a, b = seq[c - 1], seq[c]
             if a == b:
                 deg -= 2
-            elif b == cfg.res_shift(a, 1) or b == cfg.res_shift(a, -1):
+            elif (a, b) in near:
                 deg += 1
             seq[c - 1], seq[c] = b, a
     return deg

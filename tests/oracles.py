@@ -3,19 +3,24 @@ differentially tested against.
 
 The marker oracle compares a position with all six special points in
 turn, without ParamConfig.marker_label_at's lookup table.  The row
-degree oracle scores a tile row tile by tile.  The graded oracles are
-the plain per-tableau definitions: they enumerate every standard
-tableau of the shape (or, for Delta, every coloured tableau through
-cstd) and ask the per-tableau question directly.  The norm oracle is
-the exact spectral norm.
+degree oracle scores a tile row tile by tile.  The tableau statistics
+oracles read no per-shape tables: they embed both paths of every
+tableau, score it tile by tile, order its tiles by a scan over all tile
+pairs, and thread the reduced word through Residue objects.  The graded
+oracles are the plain per-tableau definitions: they enumerate every
+standard tableau of the shape (or, for Delta, every coloured tableau
+through cstd) and score each by the tile-by-tile degree.  The norm
+oracle is the exact spectral norm.
 """
+
+import heapq
 
 import numpy as np
 
 from blobalg import laurent
 from blobalg.decomp import GradedMatrix
-from blobalg.params import MARKER_LABELS
-from blobalg.paths import Tile, degree_tiles, is_ladder, tile_degree
+from blobalg.params import ALPHA_LABELS, MARKER_LABELS
+from blobalg.paths import Tile, embed, is_ladder, positions, tile_degree
 from blobalg.tableaux import cstd, enumerate_std, residue_seq, shapes, t_lambda
 
 
@@ -38,19 +43,107 @@ def row_degree(cfg, orbit, yc, a, b):
                for xc in range(lo + 1, hi, 2))
 
 
+def tiles_embedded(cfg, n, t):
+    """Oracle for paths.tiles: the tiles between the embedded paths of
+    t and of its shape's t_lambda, row by row."""
+    xs_t = positions(embed(cfg, n, t))
+    xs_l = positions(embed(cfg, n, t_lambda(n, t.shape)))
+    out = []
+    for yc in range(1, n + 1):
+        a, b = xs_t[yc - 1], xs_l[yc - 1]
+        lo, hi = min(a, b), max(a, b)
+        for xc in range(lo + 1, hi, 2):
+            out.append(Tile(xc, yc, "L" if xc < b else "R"))
+    return out
+
+
+def degree_tiles_tilewise(cfg, n, t):
+    """Oracle for paths.degree_tiles: tile_degree summed tile by tile
+    over tiles_embedded."""
+    orbit = embed(cfg, n, t).orbit
+    return sum(tile_degree(cfg, orbit, tile)
+               for tile in tiles_embedded(cfg, n, t))
+
+
+def _linearize_scan(ts, before, key):
+    """paths._linearize with the adjacency found by scanning every pair
+    of tiles."""
+    succ = {u: [] for u in ts}
+    indeg = {u: 0 for u in ts}
+    for u in ts:
+        for v in ts:
+            if (u is not v and abs(u.xc - v.xc) == 1
+                    and abs(u.yc - v.yc) == 1 and before(u, v)):
+                succ[u].append(v)
+                indeg[v] += 1
+    heap = [(key(u), u) for u in ts if indeg[u] == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        _, u = heapq.heappop(heap)
+        out.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, (key(v), v))
+    if len(out) != len(ts):
+        raise RuntimeError("tile precedence is cyclic")
+    return out
+
+
+def tau_order_scan(cfg, n, t):
+    """Oracle for paths.tau_order: the same canonical removal order over
+    tiles_embedded, adjacency by the pair scan."""
+    ts = tiles_embedded(cfg, n, t)
+    left = [u for u in ts if u.side == "L"]
+    right = [u for u in ts if u.side == "R"]
+    ordered = _linearize_scan(
+        left, lambda u, v: u.xc > v.xc, key=lambda u: (u.top_y, -u.xc))
+    ordered += _linearize_scan(
+        right, lambda u, v: u.xc < v.xc, key=lambda u: (-u.top_y, u.xc))
+    return ordered
+
+
+def degree_klr_residues(cfg, n, t):
+    """Oracle for paths.degree_klr: tau_order_scan threaded through
+    t_lambda's residue sequence as Residue objects, inverted and
+    shifted by the ParamConfig methods at every tile."""
+    seq = list(residue_seq(cfg, n, t_lambda(n, t.shape)))
+    alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
+    deg = 0
+    for u in tau_order_scan(cfg, n, t):
+        c = u.content
+        if c == 0:
+            r = seq[0]
+            if cfg.res_invert(r) == r:
+                deg -= 2
+            elif r in alphas:
+                deg += 1
+            seq[0] = cfg.res_invert(r)
+        else:
+            a, b = seq[c - 1], seq[c]
+            if a == b:
+                deg -= 2
+            elif b == cfg.res_shift(a, 1) or b == cfg.res_shift(a, -1):
+                deg += 1
+            seq[c - 1], seq[c] = b, a
+    return deg
+
+
 def delta_graded_dim_enum(cfg, n, shape):
-    """Oracle for decomp.delta_graded_dim: sum of v^degree_tiles over
-    every standard tableau of the shape."""
+    """Oracle for decomp.delta_graded_dim: sum of v^degree over every
+    standard tableau of the shape, scored by degree_tiles_tilewise."""
     out = {}
     for t in enumerate_std(n, shape):
-        out = laurent.add(out, {degree_tiles(cfg, n, t): 1})
+        out = laurent.add(out, {degree_tiles_tilewise(cfg, n, t): 1})
     return out
 
 
 def delta_matrix_cstd(cfg, n):
     """Oracle for decomp.delta_matrix: every entry (la, mu) summed over
     the tableaux cstd lists for la coloured like t_mu, each scored by
-    degree_tiles, with no block filter and no invariant check."""
+    degree_tiles_tilewise, with no block filter and no invariant
+    check."""
     order = shapes(n)
     cols = []
     for mu in order:
@@ -59,7 +152,7 @@ def delta_matrix_cstd(cfg, n):
         for la in order:
             ent = {}
             for s in cstd(cfg, n, la, target):
-                ent = laurent.add(ent, {degree_tiles(cfg, n, s): 1})
+                ent = laurent.add(ent, {degree_tiles_tilewise(cfg, n, s): 1})
             col.append(ent)
         cols.append(col)
     return GradedMatrix(tuple(order), tuple(

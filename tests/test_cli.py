@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import blobalg.calibrated as calibrated
+import blobalg.paths as paths
 from blobalg.calibrated import (
     MAX_MODULE_BYTES,
     build_calibrated,
@@ -336,6 +337,25 @@ def test_word_accepts_tableau_literal(capsys):
     assert rc == 2
 
 
+def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
+    # degree and word read per-shape tables, so t_lambda is built and
+    # embedded a few times per shape, not once per tableau
+    calls = dict.fromkeys(("embed", "t_lambda"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(paths, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(paths, name, counted)
+    n = 7
+    for command in ("degree", "word"):
+        rc, out, _ = invoke(capsys, command, "--config",
+                            str(CONFIGS / "e7.json"), "--n", str(n))
+        assert rc == 0 and out
+    per_run = 2 * 2 * len(shapes(n))      # two commands, two per shape
+    assert sum(count_std(n, s) for s in shapes(n)) > 2 * per_run
+    assert all(0 < c <= per_run for c in calls.values()), calls
+
+
 def test_byte_identical_reruns(capsys):
     args = ("decomp", "--config", str(CONFIGS / "e5-formal.json"), "--n", "10",
             "--jobs", "1", "--format", "json")
@@ -376,6 +396,21 @@ def test_bounds_same_bytes_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = ["-m", "blobalg.cli", "bounds", "--config",
             str(CONFIGS / "e5-formal.json"), "--n", "6"]
+    plain = subprocess.run([sys.executable] + argv, capture_output=True,
+                           env=env, cwd=ROOT, timeout=120)
+    optimized = subprocess.run([sys.executable, "-O"] + argv,
+                               capture_output=True, env=env, cwd=ROOT,
+                               timeout=120)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
+@pytest.mark.parametrize("command", ["degree", "word"])
+def test_tableau_statistics_same_bytes_under_optimize(command):
+    # the per-shape tables hold no assert, so -O changes nothing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["-m", "blobalg.cli", command, "--config",
+            str(CONFIGS / "e7.json"), "--n", "6"]
     plain = subprocess.run([sys.executable] + argv, capture_output=True,
                            env=env, cwd=ROOT, timeout=120)
     optimized = subprocess.run([sys.executable, "-O"] + argv,

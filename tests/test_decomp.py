@@ -19,7 +19,7 @@ from blobalg.decomp import (
     simple_graded_dims,
 )
 from blobalg.params import load_config
-from blobalg.paths import degree_tiles, residue_class_tableaux
+from blobalg.paths import residue_class_tableaux
 from blobalg.tableaux import (
     Shape,
     count_std,
@@ -32,6 +32,7 @@ from blobalg.tableaux import (
 
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
+    degree_tiles_tilewise,
     delta_graded_dim_enum,
     delta_matrix_cstd,
     simple_dim_lower_bounds_enum,
@@ -117,7 +118,7 @@ def test_delta_matches_brute_force(cfg_name):
             for mu in d.shapes:
                 ent = {}
                 for t in cstd_brute(cfg, n, la, mu):
-                    ent = laurent.add(ent, {degree_tiles(cfg, n, t): 1})
+                    ent = laurent.add(ent, {degree_tiles_tilewise(cfg, n, t): 1})
                 assert d.entry(la, mu) == ent
 
 
@@ -497,12 +498,15 @@ def test_delta_graded_dim_matches_enumeration_on_random_configs(cfg):
 
 
 def test_wrong_graded_dim_raises(monkeypatch, cfg_e7):
-    true_dim = decomp.delta_graded_dim
+    true_walks = decomp._walks
 
-    def off_by_one(cfg, n, shape):
-        return laurent.add(true_dim(cfg, n, shape), {0: 1})
+    def off_by_one(cfg, n, shape, tables):
+        # only the graded dimension (no target) is off; Delta stays right
+        graded = true_walks(cfg, n, shape, tables)
+        return lambda target=None: (
+            laurent.add(graded(), {0: 1}) if target is None else graded(target))
 
-    monkeypatch.setattr(decomp, "delta_graded_dim", off_by_one)
+    monkeypatch.setattr(decomp, "_walks", off_by_one)
     with pytest.raises(RuntimeError, match="standard tableaux"):
         simple_graded_dims(cfg_e7, 4)
 

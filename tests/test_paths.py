@@ -1,6 +1,8 @@
 from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from blobalg.paths import (
     EmbeddedPath,
@@ -22,12 +24,13 @@ from blobalg.paths import (
     row_degrees,
     sim_class_tableaux,
     sim_neighbors,
+    tau_order,
     tiles,
     translate,
     width,
     word_to_tableau,
 )
-from blobalg.params import MARKER_LABELS
+from blobalg.params import MARKER_LABELS, load_config
 from blobalg.tableaux import (
     Shape,
     Tableau,
@@ -40,8 +43,16 @@ from blobalg.tableaux import (
     weyl_act,
 )
 
-from conftest import CONFIG_FACTORIES
-from oracles import row_degree
+from conftest import CONFIG_FACTORIES, valid_configs
+from oracles import (
+    degree_klr_residues,
+    degree_tiles_tilewise,
+    row_degree,
+    tau_order_scan,
+    tiles_embedded,
+)
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def all_tableaux(n):
@@ -203,6 +214,42 @@ def test_row_degrees_match_row_degree(cfg_name):
                 for b in range(lo + (a - lo) % 2, hi + 1, 2):
                     assert row(yc, a, b) == row_degree(cfg, orbit, yc, a, b), (
                         orbit, yc, a, b)
+
+
+def _statistics_match_oracles(cfg, n):
+    for t in all_tableaux(n):
+        assert tiles(cfg, n, t) == tiles_embedded(cfg, n, t), (n, t)
+        assert degree_tiles(cfg, n, t) == degree_tiles_tilewise(cfg, n, t), (n, t)
+        assert tau_order(cfg, n, t) == tau_order_scan(cfg, n, t), (n, t)
+        assert degree_klr(cfg, n, t) == degree_klr_residues(cfg, n, t), (n, t)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_tableau_statistics_match_oracles(path):
+    # the per-shape tables against the embedded paths, the pair scan
+    # and the Residue arithmetic, on every tableau
+    cfg = load_config(path)
+    for n in range(1, 9):
+        _statistics_match_oracles(cfg, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_tableau_statistics_match_oracles_on_random_configs(cfg):
+    for n in range(1, 7):
+        _statistics_match_oracles(cfg, n)
+
+
+def test_shape_tables_are_built_once_per_shape(cfg_e7):
+    t = from_negated_set(6, Shape(2, "alpha1"), {3})
+    degree_tiles(cfg_e7, 6, t)
+    tab = cfg_e7._shape_tables[(6, Shape(2, "alpha1"))]
+    degree_klr(cfg_e7, 6, t)
+    reduced_word(cfg_e7, 6, t)
+    assert list(cfg_e7._shape_tables) == [(6, Shape(2, "alpha1"))]
+    assert cfg_e7._shape_tables[(6, Shape(2, "alpha1"))] is tab
+    # a fresh configuration starts with no tables
+    assert CONFIG_FACTORIES["e7"]()._shape_tables == {}
 
 
 def test_figure_small_degrees(cfg_e14_mirror):
