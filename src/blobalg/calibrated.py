@@ -418,13 +418,19 @@ def check_hecke_relations(m, tol=None):
     return _report(rel, tol)
 
 
+def _idempotent(m, i, eye):
+    """e_i for 0 <= i <= n: T_i minus its q (T0 at i = 0, Tn at i = n)."""
+    if i == m.n:
+        return m.tn - m.seed.qn * eye
+    if i == 0:
+        return m.t0 - m.seed.q0 * eye
+    return m.ts[i - 1] - m.seed.q * eye
+
+
 def _idempotents(m):
     """e_0, e_1, ..., e_{n-1}, e_n, and e_0v (each T minus its q)."""
     eye = np.eye(m.dim, dtype=complex)
-    es = {0: m.t0 - m.seed.q0 * eye}
-    for i, t in enumerate(m.ts, start=1):
-        es[i] = t - m.seed.q * eye
-    es[m.n] = m.tn - m.seed.qn * eye
+    es = {i: _idempotent(m, i, eye) for i in range(m.n + 1)}
     return es, m.t0v - m.seed.qn * eye
 
 
@@ -465,15 +471,16 @@ def check_jm_spectrum(m, tol=None):
 
 def blob_check(m, tol=None):
     """Alternating-product relations: the zero shape carries the kappa
-    relations, every other shape is annihilated by both products."""
+    relations, every other shape is annihilated by both products.  The
+    idempotents are formed one at a time, so only the two running
+    products I0 and I1 are held beside the module."""
     tol = m.seed.tolerance if tol is None else tol
-    es, _ = _idempotents(m)
     eye = np.eye(m.dim, dtype=complex)
     i0, i1 = eye, eye
     for i in range(0, m.n + 1, 2):
-        i0 = i0 @ es[i]
+        i0 = i0 @ _idempotent(m, i, eye)
     for i in range(1, m.n + 1, 2):
-        i1 = i1 @ es[i]
+        i1 = i1 @ _idempotent(m, i, eye)
     rel = {}
     if m.shape.k == 0:
         th, q = m.seed.theta_value, m.seed.q

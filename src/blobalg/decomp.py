@@ -3,37 +3,22 @@ N*A factorization that yields the conjectural graded decomposition
 matrix, simple dimensions, and ladder lower bounds.
 
 Graded counts over the tableaux of one shape come from one transfer DP
-over its walks (_walks).  With no target it gives the graded dimension
-of the standard module; with the residue sequence of t_mu as target it
-gives the Delta entry (la, mu), which delta_matrix computes only where
-an exact block filter allows a nonzero value.  The cstd column sum
-is kept in the tests as the oracle (``delta_matrix_cstd`` in
-tests/oracles.py).
+over its walks (_walks), which reads the shape's tables from
+paths.walk_tables, the one builder of what a walk reads; Delta, the
+graded dimensions and the ladder bounds of one (configuration, n) all
+share them.  With no target the DP gives the graded dimension of the
+standard module; with the residue ids of t_mu as target it gives the
+Delta entry (la, mu), which delta_matrix computes only where an exact
+block filter allows a nonzero value.  The cstd column sum is kept in
+the tests as the oracle (``delta_matrix_cstd`` in tests/oracles.py).
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 from . import laurent
-from .paths import (
-    EmbeddedPath,
-    embed,
-    max_shape,
-    positions,
-    row_degrees,
-)
-from .tableaux import (
-    Shape,
-    box_contents,
-    count_std,
-    max_negatives,
-    residue_seq,
-    shape_str,
-    shapes,
-    step_residue,
-    t_lambda,
-    walk_start,
-)
+from .paths import EmbeddedPath, max_shape, walk_tables
+from .tableaux import Shape, count_std, shape_str, shapes, validate_shape
 
 __all__ = [
     "GradedMatrix",
@@ -160,53 +145,20 @@ class GradedMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _orbit_tables(cfg, n, order, ids):
-    """Lattice tables for the walks of the given shapes, one per orbit:
-    ``(se, sw, row)``, where se[p] and sw[p] are the ids (interned in
-    ``ids``) of the residues that a step reads at position p going SE
-    and SW (tableaux.step_residue at step 0 from p), and row is
-    paths.row_degrees.  They span every position such a walk reaches
-    or reads: x0 - 1 .. x0 + 2n over the shapes' walk starts x0."""
-    spans = {}
-    for shape in order:
-        orbit, x0 = walk_start(cfg, n, shape, 0)
-        lo, hi = spans.get(orbit, (x0, x0))
-        spans[orbit] = (min(lo, x0), max(hi, x0))
-    out = {}
-    for orbit, (lo, hi) in spans.items():
-        span = range(lo - 1, hi + 2 * n + 1)
-        se = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, True), len(ids))
-              for p in span}
-        sw = {p: ids.setdefault(step_residue(cfg, orbit, p, 0, False), len(ids))
-              for p in span}
-        out[orbit] = (se, sw, row_degrees(cfg, orbit, lo - 1, hi + 2 * n))
-    return out
-
-
-def _walks(cfg, n, shape, tables):
-    """The walk DP of one shape, with its tables built once.
+def _walks(n, tab):
+    """The walk DP of one shape over its tables (paths.walk_tables).
 
     Returns ``graded(target=None)``: the sum of v^deg over the standard
     tableaux of the shape whose walks read the residue ids ``target``
-    (one per step), or over all of them when target is None.  A tableau
-    with c negative entries walks from x0 + 2c, where x0 is walk_start
-    at c = 0; after j steps with r SW steps still to come it sits at
-    x = x0 + j + 2r, so the state (j, r) fixes x and the starts of all c
-    merge into one DP, r = c at j = 0 and r = 0 at j = n.  Step j + 1
-    from there reads position x + j + 1 going SE and x - j - 1 going
-    SW, so the SE read depends on j + r alone and the SW read on r
-    alone.  Tile row j + 1 depends only on x (paths.row_degrees), so each
-    state shifts its polynomial by that row's degree, memoized per
-    reached state and shared by every target.  ``tables`` is
-    _orbit_tables over shapes that include this one; its ids are those
-    of the targets.
+    (one per step), or over all of them when target is None.  The walks
+    of every count of negative entries merge into one DP over the
+    states (j, r) of ShapeTables, r = c at j = 0 and r = 0 at j = n.
+    Tile row j + 1 depends only on the state's position x0 + j + 2r
+    (paths.row_degrees), so each state shifts its polynomial by that
+    row's degree, memoized per reached state and shared by every target.
     """
-    orbit, x0 = walk_start(cfg, n, shape, 0)
-    se_at, sw_at, row = tables[orbit]
-    xs_l = positions(embed(cfg, n, t_lambda(n, shape)))
-    top = max_negatives(n, shape)
-    se = [se_at[x0 + 2 * s + 1] for s in range(n)]
-    sw = [sw_at[x0 + 2 * r - 1] for r in range(top + 1)]
+    x0, xs_l, row, se, sw = tab.x0, tab.xs_l, tab.row, tab.se, tab.sw
+    top = len(sw) - 1
     rd = [[None] * (min(top, n - j) + 1) for j in range(n)]  # memo per (j, r)
 
     def graded(target=None):
@@ -237,23 +189,14 @@ def _walks(cfg, n, shape, tables):
     return graded
 
 
-def _pair_class(cfg, n, shape, ids):
-    """Block invariant of a shape: the multiset of unordered pairs
-    {c, c^-1} over its box contents, as sorted residue ids (the smaller
-    id of each pair names it)."""
-    return tuple(sorted(
-        min(ids.setdefault(c, len(ids)),
-            ids.setdefault(cfg.res_invert(c), len(ids)))
-        for c in box_contents(cfg, n, shape)[1:]))
-
-
-def _delta_row(cfg, n, la, cols, ids, tables):
-    """Row la of Delta against columns given as (pair class, residue
-    ids of t_mu): the walk DP of la for every column in its block
-    class, zero for the others."""
-    key = _pair_class(cfg, n, la, ids)
-    graded = _walks(cfg, n, la, tables)
-    return [graded(target) if cls == key else {} for cls, target in cols]
+def _delta_row(n, tabs, la, order):
+    """Row la of Delta over the columns ``order``: the walk DP of la
+    against the residue ids of t_mu for every mu sharing la's block
+    invariant (ShapeTables.pairs), zero for the others."""
+    tab = tabs[la]
+    graded = _walks(n, tab)
+    return [graded(tabs[mu].seq) if tabs[mu].pairs == tab.pairs else {}
+            for mu in order]
 
 
 def delta_matrix(cfg, n, restrict=None):
@@ -281,14 +224,8 @@ def delta_matrix(cfg, n, restrict=None):
             raise ValueError("shapes not in the poset: %s"
                              % ", ".join(sorted(map(_label, missing))))
         order = [s for s in order if s in wanted]
-    ids = {}      # Residue -> small int
-    tables = _orbit_tables(cfg, n, order, ids)
-    cols = [(_pair_class(cfg, n, mu, ids),
-             tuple(ids.setdefault(r, len(ids))
-                   for r in residue_seq(cfg, n, t_lambda(n, mu))))
-            for mu in order]
-    rows = tuple(tuple(_delta_row(cfg, n, la, cols, ids, tables))
-                 for la in order)
+    tabs = walk_tables(cfg, n)
+    rows = tuple(tuple(_delta_row(n, tabs, la, order)) for la in order)
     for i, la in enumerate(order):
         if rows[i][i] != _ONE:
             raise RuntimeError("diagonal entry != 1 at %s" % _label(la))
@@ -391,7 +328,8 @@ def delta_graded_dim(cfg, n, shape):
     residue target.  The enumeration over all tableaux is kept in the
     tests as the oracle (``delta_graded_dim_enum`` in tests/oracles.py).
     """
-    return _walks(cfg, n, shape, _orbit_tables(cfg, n, [shape], {}))()
+    validate_shape(n, shape)
+    return _walks(n, walk_tables(cfg, n)[shape])()
 
 
 def simple_graded_dims(cfg, n):
@@ -399,14 +337,15 @@ def simple_graded_dims(cfg, n):
     back-substitution against the decomposition matrix.
 
     The graded dimension of each standard module is delta_graded_dim's
-    walk DP, over one set of orbit tables built for all shapes.  Raises
-    RuntimeError if one does not count its tableaux at v = 1.
+    walk DP, over the walk tables that the decomposition matrix was
+    built from.  Raises RuntimeError if one does not count its tableaux
+    at v = 1.
     """
     nmat = decomposition_matrix(cfg, n)
-    tables = _orbit_tables(cfg, n, nmat.shapes, {})
+    tabs = walk_tables(cfg, n)
     dims = {}
     for r, la in enumerate(nmat.shapes):
-        acc = _walks(cfg, n, la, tables)()
+        acc = _walks(n, tabs[la])()
         if laurent.eval_one(acc) != count_std(n, la):
             raise RuntimeError(
                 "graded dimension of %s is %d at v=1, but the shape has %d "
@@ -420,16 +359,16 @@ def simple_graded_dims(cfg, n):
     return dims
 
 
-def _tally_walks(n, c, start, se, sw, groups, least):
-    """Visit every n-step walk from ``start`` with exactly c SW steps,
-    sharing prefixes.  ``se[p]`` and ``sw[p]`` are the residue ids read
-    at lattice position p.  Each leaf's residue-id tuple counts in
-    ``groups[key] = [tableaux, mask of negative counts]`` and lowers
-    ``least[key]`` to c."""
+def _tally_walks(n, c, se, sw, groups, least):
+    """Visit every n-step walk with exactly c SW steps, sharing
+    prefixes, through the states (j, r) of ShapeTables: step j + 1 reads
+    the residue id se[j + r] going SE and sw[r] going SW.  Each leaf's
+    residue-id tuple counts in ``groups[key] = [tableaux, mask of
+    negative counts]`` and lowers ``least[key]`` to c."""
     seq = []
     bit = 1 << c
 
-    def walk(j, x, left):
+    def walk(j, r):
         if j == n:
             key = tuple(seq)
             grp = groups.get(key)
@@ -441,17 +380,16 @@ def _tally_walks(n, c, start, se, sw, groups, least):
             if key not in least or c < least[key]:
                 least[key] = c
             return
-        step = j + 1
-        if left < n - j:
-            seq.append(se[x + step])
-            walk(step, x + 1, left)
+        if r < n - j:
+            seq.append(se[j + r])
+            walk(j + 1, r)
             seq.pop()
-        if left:
-            seq.append(sw[x - step])
-            walk(step, x - 1, left - 1)
+        if r:
+            seq.append(sw[r])
+            walk(j + 1, r - 1)
             seq.pop()
 
-    walk(0, start, c)
+    walk(0, c)
 
 
 def simple_dim_lower_bounds(cfg, n):
@@ -461,31 +399,26 @@ def simple_dim_lower_bounds(cfg, n):
 
     One pass over the path lattice.  For each shape and each count c of
     negative entries, every walk with c SW steps is visited once, with
-    shared prefixes, from the start cstd uses; a leaf is keyed by its
-    residue sequence as a tuple of small ints.  Per (shape, class) only
-    the tableau count and a bitmask of the counts c present are kept,
-    and per class the least c over all shapes, c*.  A ladder tableau is
-    one whose path is widest in its class (width n - 2c, so c = c*) and
-    whose shape is the max_shape of its path, which depends only on the
-    shape and c.  So a class adds its count to shape la exactly when c*
-    is in la's mask and max_shape at (la, c*) is la.  The per-tableau
+    shared prefixes, over the shape's walk tables; a leaf is keyed by
+    its residue sequence as a tuple of residue ids.  Per (shape, class)
+    only the tableau count and a bitmask of the counts c present are
+    kept, and per class the least c over all shapes, c*.  A ladder
+    tableau is one whose path is widest in its class (width n - 2c, so
+    c = c*) and whose shape is the max_shape of its path, which depends
+    only on the shape and c.  So a class adds its count to shape la
+    exactly when c* is in la's mask and max_shape at (la, c*) is la.  The per-tableau
     form via is_ladder is kept in the tests as the oracle
     (``simple_dim_lower_bounds_enum`` in tests/oracles.py).
     """
     least = {}    # class key -> c*
     per_shape = []
-    # Step j + 1 from x reads position x + j + 1 (SE) or x - j - 1 (SW).
-    tables = _orbit_tables(cfg, n, shapes(n), {})
-    for shape in shapes(n):
-        top = max_negatives(n, shape)
-        orbit, _ = walk_start(cfg, n, shape, 0)
-        se, sw, _ = tables[orbit]
+    for shape, tab in walk_tables(cfg, n).items():
         groups = {}
         widest = []
-        for c in range(top + 1):
-            _, start = walk_start(cfg, n, shape, c)
-            _tally_walks(n, c, start, se, sw, groups, least)
-            rep_path = EmbeddedPath(orbit, start, (False,) * c + (True,) * (n - c))
+        for c in range(len(tab.sw)):
+            _tally_walks(n, c, tab.se, tab.sw, groups, least)
+            rep_path = EmbeddedPath(tab.orbit, tab.x0 + 2 * c,
+                                    (False,) * c + (True,) * (n - c))
             widest.append(max_shape(cfg, n, rep_path))
         per_shape.append((shape, groups, widest))
 

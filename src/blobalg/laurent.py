@@ -17,7 +17,6 @@ __all__ = [
     "sub",
     "neg",
     "mul",
-    "scalar",
     "bar",
     "is_bar_symmetric",
     "is_positive",
@@ -64,12 +63,6 @@ def mul(f, g):
             else:
                 h.pop(e, None)
     return h
-
-
-def scalar(f, c):
-    if not c:
-        return {}
-    return {e: c0 * c for e, c0 in f.items()}
 
 
 def bar(f):

@@ -237,9 +237,9 @@ class ParamConfig:
         return self._markers.get(self.residue(orbit, x))
 
     @cached_property
-    def _shape_tables(self):
-        """{(n, shape): tables} filled by paths.shape_tables: the per-shape
-        data of the tableau statistics, built once per configuration.  It
+    def _walk_tables(self):
+        """{n: {shape: tables}} filled by paths.walk_tables: what the
+        walks of every shape of n read, built once per configuration.  It
         lives here because a ParamConfig is not hashable, so no cache can
         be keyed by it, and its id may be reused once it is collected."""
         return {}

@@ -14,14 +14,18 @@ degree read off the tiles, the reduced word obtained by peeling tiles
 in a canonical order, and the equivalent degree computed by pushing the
 reduced word through the residue sequence.
 
-What these per-tableau statistics share depends on the shape alone:
-the walk start, t_lambda's vertex positions, the row degrees and
-t_lambda's residues as interned ids (ShapeTables).  shape_tables
-builds them once per (n, shape) and keeps them on the configuration,
-so a tableau costs n row lookups for degree_tiles and one pass over its
-tiles for tau_order and degree_klr.  The two degrees are still computed
-independently: degree_tiles scores rows, degree_klr threads the
-reduced word through the residue ids.
+What the walks of one shape read depends on (n, shape) alone: the walk
+start, t_lambda's vertex positions and residues, the residue a step
+reads from each walk state and the row degrees (ShapeTables).
+walk_tables builds them once per (configuration, n) for every shape of
+n, with every residue interned once as a small id, and keeps them on
+the configuration.  It is the one builder behind the graded Delta
+matrices, the graded dimensions and the ladder bounds in decomp and
+behind the tableau statistics here: a tableau costs n row lookups for
+degree_tiles and one pass over its tiles for tau_order and degree_klr.
+The two degrees are still computed independently: degree_tiles scores
+rows, degree_klr threads the reduced word through the residue ids.
+cstd and the similarity moves stay on Residue objects.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ __all__ = [
     "residue_class_tableaux",
     "Tile",
     "ShapeTables",
-    "shape_tables",
+    "walk_tables",
     "tiles",
     "tile_degree",
     "degree_tiles",
@@ -240,65 +244,94 @@ class Tile(NamedTuple):
 
 
 class ShapeTables(NamedTuple):
-    """What the statistics of the tableaux of one (n, shape) share,
-    built once per configuration by shape_tables.
+    """What the walks of the tableaux of one (n, shape) read, built by
+    walk_tables for every shape of n at once.
 
-    x0 is the walk start with no negative entry (tableaux.walk_start)
-    and xs_l the vertex positions of t_lambda's walk; row is row_degrees
-    of the walk's orbit over x0 - 1 .. x0 + 2n, which holds every vertex
-    a walk of the shape reaches.  seq is the residue sequence of
-    t_lambda as small ids, interned over the box contents and their
-    inverses (every residue s_0 and the s_j can move into it); inverse
-    maps an id to the id of its inverse, s0 to the degree of s_0 acting
-    on it, and near holds the id pairs (a, b) with b = a q^(+-2).
+    A tableau with c negative entries walks on `orbit` from x0 + 2c,
+    where x0 is tableaux.walk_start at c = 0, and xs_l are the vertex
+    positions of t_lambda's walk.  After j steps with r SW steps still
+    to come a walk sits at x = x0 + j + 2r, so the state (j, r) fixes x;
+    step j + 1 then reads the residue id se[j + r] going SE and sw[r]
+    going SW (tableaux.step_residue).  row is row_degrees of the orbit
+    over a span holding every vertex the walks of its shapes reach,
+    shared by those shapes.  seq is t_lambda's residue sequence as ids
+    and pairs the block invariant: the sorted ids min(c, c^-1) over the
+    box contents c.  Ids are interned once per (configuration, n), so
+    the ids of different shapes compare directly.  The tables shared by
+    all shapes map an id to the id of its inverse (inverse) and to the
+    degree of s_0 acting on it (s0); near holds the id pairs (a, b) with
+    b = a q^(+-2).
     """
+    orbit: str
     x0: int
     xs_l: tuple
     row: object
+    se: tuple
+    sw: tuple
     seq: tuple
+    pairs: tuple
     inverse: tuple
     s0: tuple
     near: frozenset
 
 
-def shape_tables(cfg, n, shape):
-    """The ShapeTables of (n, shape), memoized on the configuration."""
-    memo = cfg._shape_tables
-    tab = memo.get((n, shape))
-    if tab is None:
-        tab = memo[(n, shape)] = _build_shape_tables(cfg, n, shape)
-    return tab
+def walk_tables(cfg, n):
+    """{shape: ShapeTables} over the shapes of n, memoized on the
+    configuration."""
+    memo = cfg._walk_tables
+    tabs = memo.get(n)
+    if tabs is None:
+        tabs = memo[n] = _build_walk_tables(cfg, n)
+    return tabs
 
 
-def _build_shape_tables(cfg, n, shape):
-    t0 = t_lambda(n, shape)
-    orbit, x0 = walk_start(cfg, n, shape, 0)
-    ids = {}       # Residue -> id
-    for c in box_contents(cfg, n, shape)[1:]:
-        ids.setdefault(c, len(ids))
-        ids.setdefault(cfg.res_invert(c), len(ids))
+def _build_walk_tables(cfg, n):
+    ids = {}       # Residue -> id, each interned together with its inverse
+
+    def intern(r):
+        i = ids.get(r)
+        if i is None:
+            i = ids[r] = len(ids)
+            ids.setdefault(cfg.res_invert(r), len(ids))
+        return i
+
+    starts = {shape: walk_start(cfg, n, shape, 0) for shape in shapes(n)}
+    spans = {}
+    for orbit, x0 in starts.values():
+        lo, hi = spans.get(orbit, (x0, x0))
+        spans[orbit] = (min(lo, x0), max(hi, x0))
+    rows = {orbit: row_degrees(cfg, orbit, lo - 1, hi + 2 * n)
+            for orbit, (lo, hi) in spans.items()}
+    parts = {}
+    for shape, (orbit, x0) in starts.items():
+        t0 = t_lambda(n, shape)
+        parts[shape] = (
+            orbit, x0, tuple(positions(embed(cfg, n, t0))), rows[orbit],
+            tuple(intern(step_residue(cfg, orbit, x0 + 2 * s + 1, 0, True))
+                  for s in range(n)),
+            tuple(intern(step_residue(cfg, orbit, x0 + 2 * r - 1, 0, False))
+                  for r in range(max_negatives(n, shape) + 1)),
+            tuple(intern(r) for r in residue_seq(cfg, n, t0)),
+            tuple(sorted(min(intern(c), intern(cfg.res_invert(c)))
+                         for c in box_contents(cfg, n, shape)[1:])),
+        )
     res = list(ids)
     inverse = tuple(ids[cfg.res_invert(r)] for r in res)
     alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
-    return ShapeTables(
-        x0=x0,
-        xs_l=tuple(positions(embed(cfg, n, t0))),
-        row=row_degrees(cfg, orbit, x0 - 1, x0 + 2 * n),
-        seq=tuple(ids[r] for r in residue_seq(cfg, n, t0)),
-        inverse=inverse,
-        s0=tuple(-2 if inverse[i] == i else 1 if r in alphas else 0
-                 for i, r in enumerate(res)),
-        near=frozenset((i, ids[s]) for i, r in enumerate(res)
-                       for s in (cfg.res_shift(r, 1), cfg.res_shift(r, -1))
-                       if s in ids),
-    )
+    s0 = tuple(-2 if inverse[i] == i else 1 if r in alphas else 0
+               for i, r in enumerate(res))
+    near = frozenset((i, ids[s]) for i, r in enumerate(res)
+                     for s in (cfg.res_shift(r, 1), cfg.res_shift(r, -1))
+                     if s in ids)
+    return {shape: ShapeTables(*part, inverse, s0, near)
+            for shape, part in parts.items()}
 
 
 def _walk(cfg, n, t):
     """The shape's tables and the vertex positions of t's walk: it
     starts at x0 + 2|negs| and steps left exactly at the negated values,
     so no path is embedded."""
-    tab = shape_tables(cfg, n, t.shape)
+    tab = walk_tables(cfg, n)[t.shape]
     negs = t.negated_set()
     x = tab.x0 + 2 * len(negs)
     xs = [x]
@@ -346,7 +379,7 @@ def tile_degree(cfg, orbit, tile):
 
 def degree_tiles(cfg, n, t):
     """Sum of tile_degree over the tiles of t, one row_degrees lookup
-    per row of the shape's tables (shape_tables).  It reads no residue,
+    per row of the shape's tables (walk_tables).  It reads no residue,
     and degree_klr reads no row degree.  The tile-by-tile sum over the
     embedded paths is kept in the tests as the oracle
     (``degree_tiles_tilewise`` in tests/oracles.py)."""
@@ -450,11 +483,11 @@ def degree_klr(cfg, n, t):
     residue sequence of the distinguished tableau, tile by tile in
     tau_order: s_0 scores by the residue it inverts, s_j by the pair it
     swaps (-2 if equal, +1 if q^(+-2) apart).  The residues are the
-    interned ids of the shape's tables (shape_tables); no row degree is
+    interned ids of the shape's tables (walk_tables); no row degree is
     read, so this stays an independent check of degree_tiles.  The form
     on Residue objects is kept in the tests as the oracle
     (``degree_klr_residues`` in tests/oracles.py)."""
-    tab = shape_tables(cfg, n, t.shape)
+    tab = walk_tables(cfg, n)[t.shape]
     seq = list(tab.seq)
     inverse, s0, near = tab.inverse, tab.s0, tab.near
     deg = 0

@@ -51,7 +51,6 @@ __all__ = [
     "walk_start",
     "step_residue",
     "cstd",
-    "cstd_brute",
     "shape_str",
     "parse_shape",
     "tableau_str",
@@ -291,12 +290,6 @@ def cstd(cfg, n, shape, target):
 
     found.sort(key=lambda s: (len(s), sorted(s)))
     return [from_negated_set(n, shape, s) for s in found]
-
-
-def cstd_brute(cfg, n, shape, target):
-    """Reference implementation: filter the full enumeration."""
-    R = _target_residues(cfg, n, target)
-    return [t for t in enumerate_std(n, shape) if residue_seq(cfg, n, t) == R]
 
 
 # -- text forms ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Slow reference implementations that the fast library code is
 differentially tested against.
 
-The marker oracle compares a position with all six special points in
-turn, without ParamConfig.marker_label_at's lookup table.  The row
+The cstd oracle filters the full enumeration by residue sequence.  The
+marker oracle compares a position with all six special points in turn,
+without ParamConfig.marker_label_at's lookup table.  The row
 degree oracle scores a tile row tile by tile.  The tableau statistics
 oracles read no per-shape tables: they embed both paths of every
 tableau, score it tile by tile, order its tiles by a scan over all tile
@@ -21,7 +22,14 @@ from blobalg import laurent
 from blobalg.decomp import GradedMatrix
 from blobalg.params import ALPHA_LABELS, MARKER_LABELS
 from blobalg.paths import Tile, embed, is_ladder, positions, tile_degree
-from blobalg.tableaux import cstd, enumerate_std, residue_seq, shapes, t_lambda
+from blobalg.tableaux import (
+    _target_residues,
+    cstd,
+    enumerate_std,
+    residue_seq,
+    shapes,
+    t_lambda,
+)
 
 
 def marker_label_at_loop(cfg, orbit, x):
@@ -32,6 +40,13 @@ def marker_label_at_loop(cfg, orbit, x):
         if r == cfg.point_residue(label):
             return label
     return None
+
+
+def cstd_brute(cfg, n, shape, target):
+    """Oracle for tableaux.cstd: filter the full enumeration by residue
+    sequence, with the target read as cstd reads it."""
+    R = _target_residues(cfg, n, target)
+    return [t for t in enumerate_std(n, shape) if residue_seq(cfg, n, t) == R]
 
 
 def row_degree(cfg, orbit, yc, a, b):

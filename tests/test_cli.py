@@ -436,3 +436,19 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           capture_output=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("cmd", ["bounds", "decomp"])
+def test_walk_tables_built_once_per_command(monkeypatch, capsys, cmd):
+    built = []
+    build = paths._build_walk_tables
+
+    def counted(cfg, n):
+        built.append(n)
+        return build(cfg, n)
+
+    monkeypatch.setattr(paths, "_build_walk_tables", counted)
+    rc, _, _ = invoke(capsys, cmd, "--config", str(CONFIGS / "e7.json"),
+                      "--n", "8")
+    assert rc == 0
+    assert built == [8]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from blobalg import decomp, laurent
 from blobalg.decomp import (
     GradedMatrix,
-    _pair_class,
     blocks,
     decomposition_matrix,
     delta_graded_dim,
@@ -19,11 +18,10 @@ from blobalg.decomp import (
     simple_graded_dims,
 )
 from blobalg.params import load_config
-from blobalg.paths import residue_class_tableaux
+from blobalg.paths import residue_class_tableaux, walk_tables
 from blobalg.tableaux import (
     Shape,
     count_std,
-    cstd_brute,
     parse_shape,
     shape_str,
     shapes,
@@ -32,6 +30,7 @@ from blobalg.tableaux import (
 
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
+    cstd_brute,
     degree_tiles_tilewise,
     delta_graded_dim_enum,
     delta_matrix_cstd,
@@ -161,7 +160,7 @@ def test_restrict_rejects_unknown_shape(cfg_e5_formal):
 def test_delta_invariants_raise(monkeypatch, entry, match):
     order = shapes(4)
 
-    def fake_row(cfg, n, la, cols, *_):
+    def fake_row(n, tabs, la, cols):
         i = order.index(la)
         return [entry(i, j) for j in range(len(cols))]
 
@@ -173,8 +172,8 @@ def test_delta_invariants_raise(monkeypatch, entry, match):
 def _filter_rejects_only_zeros(cfg, n, oracle):
     """Assert that every pair the block filter skips is zero in the
     oracle; return how many pairs it skips."""
-    ids = {}
-    cls = {s: _pair_class(cfg, n, s, ids) for s in oracle.shapes}
+    tabs = walk_tables(cfg, n)
+    cls = {s: tabs[s].pairs for s in oracle.shapes}
     rejected = 0
     for i, la in enumerate(oracle.shapes):
         for j, mu in enumerate(oracle.shapes):
@@ -500,9 +499,9 @@ def test_delta_graded_dim_matches_enumeration_on_random_configs(cfg):
 def test_wrong_graded_dim_raises(monkeypatch, cfg_e7):
     true_walks = decomp._walks
 
-    def off_by_one(cfg, n, shape, tables):
+    def off_by_one(n, tab):
         # only the graded dimension (no target) is off; Delta stays right
-        graded = true_walks(cfg, n, shape, tables)
+        graded = true_walks(n, tab)
         return lambda target=None: (
             laurent.add(graded(), {0: 1}) if target is None else graded(target))
 

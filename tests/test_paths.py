@@ -1,4 +1,4 @@
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from blobalg.paths import (
     tau_order,
     tiles,
     translate,
+    walk_tables,
     width,
     word_to_tableau,
 )
@@ -34,10 +35,12 @@ from blobalg.params import MARKER_LABELS, load_config
 from blobalg.tableaux import (
     Shape,
     Tableau,
+    box_contents,
     enumerate_std,
     from_negated_set,
     residue_seq,
     shapes,
+    step_residue,
     t_lambda,
     walk_start,
     weyl_act,
@@ -240,16 +243,65 @@ def test_tableau_statistics_match_oracles_on_random_configs(cfg):
         _statistics_match_oracles(cfg, n)
 
 
+def _walk_tables_match_residues(cfg, n):
+    """The ids of walk_tables against the Residue objects they stand
+    for: one id per residue across all shapes of n."""
+    tabs = walk_tables(cfg, n)
+    res_of, id_of = {}, {}
+
+    def same(i, r):
+        assert res_of.setdefault(i, r) == r
+        assert id_of.setdefault(r, i) == i
+
+    for shape, tab in tabs.items():
+        for j in range(n):
+            for r in range(min(len(tab.sw) - 1, n - j) + 1):
+                x = tab.x0 + j + 2 * r
+                if r < n - j:
+                    same(tab.se[j + r],
+                         step_residue(cfg, tab.orbit, x, j + 1, True))
+                if r:
+                    same(tab.sw[r],
+                         step_residue(cfg, tab.orbit, x, j + 1, False))
+        want = residue_seq(cfg, n, t_lambda(n, shape))
+        assert len(tab.seq) == len(want)
+        for i, r in zip(tab.seq, want):
+            same(i, r)
+    for tab in tabs.values():
+        for i, r in list(res_of.items()):
+            same(tab.inverse[i], cfg.res_invert(r))
+    for shape, tab in tabs.items():
+        assert list(tab.pairs) == sorted(tab.pairs)
+        assert Counter(frozenset((res_of[p], cfg.res_invert(res_of[p])))
+                       for p in tab.pairs) == Counter(
+            frozenset((c, cfg.res_invert(c)))
+            for c in box_contents(cfg, n, shape)[1:])
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_walk_tables_match_residues(path):
+    cfg = load_config(path)
+    for n in range(1, 11):
+        _walk_tables_match_residues(cfg, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_walk_tables_match_residues_on_random_configs(cfg):
+    for n in range(1, 7):
+        _walk_tables_match_residues(cfg, n)
+
+
 def test_shape_tables_are_built_once_per_shape(cfg_e7):
     t = from_negated_set(6, Shape(2, "alpha1"), {3})
     degree_tiles(cfg_e7, 6, t)
-    tab = cfg_e7._shape_tables[(6, Shape(2, "alpha1"))]
+    tab = cfg_e7._walk_tables[6][Shape(2, "alpha1")]
     degree_klr(cfg_e7, 6, t)
     reduced_word(cfg_e7, 6, t)
-    assert list(cfg_e7._shape_tables) == [(6, Shape(2, "alpha1"))]
-    assert cfg_e7._shape_tables[(6, Shape(2, "alpha1"))] is tab
+    assert list(cfg_e7._walk_tables) == [6]
+    assert cfg_e7._walk_tables[6][Shape(2, "alpha1")] is tab
     # a fresh configuration starts with no tables
-    assert CONFIG_FACTORIES["e7"]()._shape_tables == {}
+    assert CONFIG_FACTORIES["e7"]()._walk_tables == {}
 
 
 def test_figure_small_degrees(cfg_e14_mirror):

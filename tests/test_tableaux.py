@@ -10,7 +10,6 @@ from blobalg.tableaux import (
     box_contents,
     count_std,
     cstd,
-    cstd_brute,
     enumerate_std,
     from_negated_set,
     is_standard,
@@ -28,6 +27,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
+from oracles import cstd_brute
 
 
 def test_shapes_small():
