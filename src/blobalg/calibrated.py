@@ -268,10 +268,11 @@ def module_bytes(n):
     """Peak bytes of a calibrated check at level n, from tableau counts
     alone: 3n + 14 complex dim x dim arrays for the largest module, plus
     1 MiB for tableaux and reports.  The module stores 2n + 2 (T_0 ..
-    T_{n-1}, T_0v, T_n, X_1 .. X_n), the TL and blob checks hold the
-    n + 2 idempotents beside them, and one relation's products and norm
-    add at most 10.  Whole runs on the generic configuration peaked at
-    27.4, 29.0, 30.5, 33.2 and 36.1 arrays at n = 5 .. 9 (tracemalloc).
+    T_{n-1}, T_0v, T_n, X_1 .. X_n), the n + 2 idempotents the TL and
+    blob checks once held (now two) are kept, and one relation's
+    products and norm add at most 10.  Whole runs on the generic
+    configuration peaked at 27.4, 29.0, 30.5, 33.2 and 36.1 arrays at
+    n = 5 .. 9 (tracemalloc), before the idempotents were dropped.
     """
     dim = max(count_std(n, s) for s in shapes(n))
     return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
@@ -427,35 +428,33 @@ def _idempotent(m, i, eye):
     return m.ts[i - 1] - m.seed.q * eye
 
 
-def _idempotents(m):
-    """e_0, e_1, ..., e_{n-1}, e_n, and e_0v (each T minus its q)."""
-    eye = np.eye(m.dim, dtype=complex)
-    es = {i: _idempotent(m, i, eye) for i in range(m.n + 1)}
-    return es, m.t0v - m.seed.qn * eye
-
-
 def check_tl_relations(m, tol=None):
-    """Square and smash relations for the e generators."""
+    """Square and smash relations for the e generators, formed one at a
+    time as in blob_check: only e = e_i and prev = e_(i-1) are held."""
     tol = m.seed.tolerance if tol is None else tol
     q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
-    es, e0v = _idempotents(m)
+    eye = np.eye(m.dim, dtype=complex)
     pars = {0: q0, m.n: qn}
     rel = {}
-    for i, e in es.items():
+    for i in range(m.n + 1):
+        e = _idempotent(m, i, eye)
         rel["square e%d" % i] = _norm(e @ e + _bracket(pars.get(i, q)) * e, tol)
+        if i == 1 < m.n:
+            rel["smash e1 e0 e1"] = _norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
+        if 2 <= i < m.n:
+            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _norm(prev @ e @ prev - prev, tol)
+            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _norm(e @ prev @ e - e, tol)
+        if i == m.n >= 2:
+            rel["smash e%d en e%d" % (i - 1, i - 1)] = _norm(
+                prev @ e @ prev - _bracket(qn / q) * prev, tol
+            )
+        prev = e
+    del prev, e
+    e0v = m.t0v - m.seed.qn * eye
     rel["square e0v"] = _norm(e0v @ e0v + _bracket(qn) * e0v, tol)
-    if m.n >= 2:
-        e0, e1 = es[0], es[1]
-        rel["smash e1 e0 e1"] = _norm(e1 @ e0 @ e1 - _bracket(q0 / q) * e1, tol)
-        ett, en = es[m.n - 1], es[m.n]
-        rel["smash e%d en e%d" % (m.n - 1, m.n - 1)] = _norm(
-            ett @ en @ ett - _bracket(qn / q) * ett, tol
-        )
-    for i in range(1, m.n - 1):
-        a, b = es[i], es[i + 1]
-        rel["tl e%d e%d e%d" % (i, i + 1, i)] = _norm(a @ b @ a - a, tol)
-        rel["tl e%d e%d e%d" % (i + 1, i, i + 1)] = _norm(b @ a @ b - b, tol)
-    return _report(rel, tol)
+    kinds = ("square", "smash", "tl")    # the report order
+    return _report(dict(sorted(
+        rel.items(), key=lambda kv: kinds.index(kv[0].split()[0]))), tol)
 
 
 def check_jm_spectrum(m, tol=None):

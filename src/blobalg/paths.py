@@ -22,15 +22,16 @@ n, with every residue interned once as a small id, and keeps them on
 the configuration.  It is the one builder behind the graded Delta
 matrices, the graded dimensions and the ladder bounds in decomp and
 behind the tableau statistics here: a tableau costs n row lookups for
-degree_tiles and one pass over its tiles for tau_order and degree_klr.
-The two degrees are still computed independently: degree_tiles scores
-rows, degree_klr threads the reduced word through the residue ids.
-cstd and the similarity moves stay on Residue objects.
+degree_tiles and one pass over its rows for the tile order
+(_tile_order, read off the diagonals) of tau_order, reduced_word and
+degree_klr.  The two degrees are still computed independently:
+degree_tiles scores rows, degree_klr threads the reduced word through
+the residue ids.  cstd and the similarity moves stay on Residue objects.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -306,7 +307,7 @@ def _build_walk_tables(cfg, n):
     for shape, (orbit, x0) in starts.items():
         t0 = t_lambda(n, shape)
         parts[shape] = (
-            orbit, x0, tuple(positions(embed(cfg, n, t0))), rows[orbit],
+            orbit, x0, tuple(_positions(x0, n, t0.negated_set())), rows[orbit],
             tuple(intern(step_residue(cfg, orbit, x0 + 2 * s + 1, 0, True))
                   for s in range(n)),
             tuple(intern(step_residue(cfg, orbit, x0 + 2 * r - 1, 0, False))
@@ -328,17 +329,20 @@ def _build_walk_tables(cfg, n):
 
 
 def _walk(cfg, n, t):
-    """The shape's tables and the vertex positions of t's walk: it
-    starts at x0 + 2|negs| and steps left exactly at the negated values,
-    so no path is embedded."""
+    """The shape's tables and the vertex positions of t's walk."""
     tab = walk_tables(cfg, n)[t.shape]
-    negs = t.negated_set()
-    x = tab.x0 + 2 * len(negs)
+    return tab, _positions(tab.x0, n, t.negated_set())
+
+
+def _positions(x0, n, negs):
+    """Vertex positions of the walk with SW steps at negs, from the
+    shape's walk start x0 at no negatives; no path is embedded."""
+    x = x0 + 2 * len(negs)
     xs = [x]
     for j in range(1, n + 1):
         x += -1 if j in negs else 1
         xs.append(x)
-    return tab, xs
+    return xs
 
 
 def tiles(cfg, n, t):
@@ -420,51 +424,48 @@ def row_degrees(cfg, orbit, lo, hi):
 
 # -- tile order and reduced words ----------------------------------------
 
-def _linearize(ts, ahead, key):
-    """Topological order of the tiles in which each tile precedes its
-    diagonal neighbours in column xc + ahead, greedy by `key` among the
-    available ones.  Neighbours are found by position, at most two per
-    tile; keys are unique per tile, so the order does not depend on how
-    the edges were listed."""
-    at = {(u.xc, u.yc): i for i, u in enumerate(ts)}
-    succ = [[] for _ in ts]
-    indeg = [0] * len(ts)
-    for i, u in enumerate(ts):
-        for dy in (-1, 1):
-            j = at.get((u.xc + ahead, u.yc + dy))
-            if j is not None:
-                succ[i].append(j)
-                indeg[j] += 1
-    heap = [(key(u), i) for i, u in enumerate(ts) if not indeg[i]]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        out.append(ts[i])
-        for j in succ[i]:
-            indeg[j] -= 1
-            if not indeg[j]:
-                heapq.heappush(heap, (key(ts[j]), j))
-    if len(out) != len(ts):
-        raise RuntimeError("tile precedence is cyclic")  # cannot happen
-    return out
+def _tile_order(xs_t, xs_l):
+    """tau_order as runs (side, k, ycs): the tiles between the walks xs_t
+    and xs_l on the diagonal xc - yc = k at rows ycs, bucketed by diagonal."""
+    left, right = defaultdict(list), defaultdict(list)
+    for yc in range(len(xs_t) - 1, 0, -1):
+        a, b = xs_t[yc - 1], xs_l[yc - 1]
+        if a < b:
+            for k in range(a + 1 - yc, b - yc, 2):
+                left[k].append(yc)
+        else:
+            for k in range(b + 1 - yc, a - yc, 2):
+                right[k].append(yc)
+    return ([("L", k, left[k]) for k in sorted(left, reverse=True)]
+            + [("R", k, right[k][::-1]) for k in sorted(right)])
 
 
 def tau_order(cfg, n, t):
-    """Canonical removal order: left tiles first, inner column before
-    outer, smallest content available; then right tiles mirrored."""
-    ts = tiles(cfg, n, t)
-    left = [u for u in ts if u.side == "L"]
-    right = [u for u in ts if u.side == "R"]
-    ordered = _linearize(left, -1, key=lambda u: (u.top_y, -u.xc))
-    ordered += _linearize(right, 1, key=lambda u: (-u.top_y, u.xc))
-    return ordered
+    """Canonical removal order: greedy topological, a left tile before
+    its diagonal neighbours one column left (a right tile: right), least
+    (yc, -xc) first on the left, then least (-yc, xc) on the right
+    (``tau_order_scan`` in tests/oracles.py).  _tile_order reads it off
+    the diagonals: left tiles by xc - yc, then yc, both descending; right
+    tiles by yc - xc descending, then yc ascending.  Why: in u = xc + yc,
+    w = xc - yc the precedence is the product order; a_y +- y, b_y +- y
+    are monotone in y for walks a, b of +-1 steps, so each row is
+    contiguous along both diagonals and the region is a skew shape.  Its
+    available tiles form an antichain with yc strictly monotone along
+    it, so the first key decides (the xc tie-break never fires) and picks
+    the extreme (w, u) cell on the left, (y - x, -(x + y)) on the right.
+    """
+    tab, xs_t = _walk(cfg, n, t)
+    return [Tile(yc + k, yc, side)
+            for side, k, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
 
 
 def reduced_word(cfg, n, t):
     """Letters of a reduced expression for the group element moving the
-    distinguished tableau to t, printed last-applied-first."""
-    return [u.content for u in reversed(tau_order(cfg, n, t))]
+    distinguished tableau to t, printed last-applied-first: the tile
+    contents yc - 1 in reversed tau_order, read off _tile_order."""
+    tab, xs_t = _walk(cfg, n, t)
+    word = [yc - 1 for _, _, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
+    return word[::-1]
 
 
 def word_to_tableau(n, shape, word, check=False):
@@ -479,31 +480,31 @@ def word_to_tableau(n, shape, word, check=False):
 
 
 def degree_klr(cfg, n, t):
-    """Degree recomputed by threading the reduced word through the
-    residue sequence of the distinguished tableau, tile by tile in
-    tau_order: s_0 scores by the residue it inverts, s_j by the pair it
-    swaps (-2 if equal, +1 if q^(+-2) apart).  The residues are the
-    interned ids of the shape's tables (walk_tables); no row degree is
-    read, so this stays an independent check of degree_tiles.  The form
-    on Residue objects is kept in the tests as the oracle
+    """Degree recomputed by threading the reduced word (the contents
+    yc - 1 of _tile_order) through the residue sequence of the
+    distinguished tableau: s_0 scores by the residue it inverts, s_j by
+    the pair it swaps (-2 if equal, +1 if q^(+-2) apart), as interned
+    ids of the shape's tables (walk_tables).  No row degree is read, so
+    this stays an independent check of degree_tiles.  The form on
+    Residue objects is kept in the tests as the oracle
     (``degree_klr_residues`` in tests/oracles.py)."""
-    tab = walk_tables(cfg, n)[t.shape]
+    tab, xs_t = _walk(cfg, n, t)
     seq = list(tab.seq)
     inverse, s0, near = tab.inverse, tab.s0, tab.near
     deg = 0
-    for u in tau_order(cfg, n, t):
-        c = u.content
-        if c == 0:
-            r = seq[0]
-            deg += s0[r]
-            seq[0] = inverse[r]
-        else:
-            a, b = seq[c - 1], seq[c]
-            if a == b:
-                deg -= 2
-            elif (a, b) in near:
-                deg += 1
-            seq[c - 1], seq[c] = b, a
+    for _, _, ycs in _tile_order(xs_t, tab.xs_l):
+        for yc in ycs:          # the letter s_(yc - 1)
+            if yc == 1:
+                r = seq[0]
+                deg += s0[r]
+                seq[0] = inverse[r]
+            else:
+                a, b = seq[yc - 2], seq[yc - 1]
+                if a == b:
+                    deg -= 2
+                elif (a, b) in near:
+                    deg += 1
+                seq[yc - 2], seq[yc - 1] = b, a
     return deg
 
 

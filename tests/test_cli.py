@@ -338,9 +338,10 @@ def test_word_accepts_tableau_literal(capsys):
 
 
 def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
-    # degree and word read per-shape tables, so t_lambda is built and
-    # embedded a few times per shape, not once per tableau
-    calls = dict.fromkeys(("embed", "t_lambda"), 0)
+    # degree and word read the walk tables, built once per command, so
+    # t_lambda is built and embedded at most a few times per shape, not
+    # once per tableau
+    calls = dict.fromkeys(("embed", "t_lambda", "_build_walk_tables"), 0)
     for name in calls:
         def counted(*args, _real=getattr(paths, name), _name=name):
             calls[_name] += 1
@@ -348,12 +349,15 @@ def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
         monkeypatch.setattr(paths, name, counted)
     n = 7
     for command in ("degree", "word"):
+        built = calls["_build_walk_tables"]
         rc, out, _ = invoke(capsys, command, "--config",
                             str(CONFIGS / "e7.json"), "--n", str(n))
         assert rc == 0 and out
+        assert calls["_build_walk_tables"] == built + 1, command
+    del calls["_build_walk_tables"]
     per_run = 2 * 2 * len(shapes(n))      # two commands, two per shape
     assert sum(count_std(n, s) for s in shapes(n)) > 2 * per_run
-    assert all(0 < c <= per_run for c in calls.values()), calls
+    assert all(c <= per_run for c in calls.values()), calls
 
 
 def test_byte_identical_reruns(capsys):

@@ -541,3 +541,36 @@ def test_bounds_below_conjectural_dims(cfg_name):
         bounds = simple_dim_lower_bounds(cfg, n)
         for la in shapes(n):
             assert 1 <= bounds[la] <= laurent.eval_one(dims[la])
+
+
+# -- consequences of the conjecture ------------------------------------------
+
+def _conjecture_consequences_hold(cfg, n):
+    """Graded cellularity makes every simple module self-dual, so its
+    conjectural graded dimension must be bar-symmetric with nonnegative
+    coefficients and reach its ladder bound at v = 1; and N * A must
+    give back Delta."""
+    delta = delta_matrix(cfg, n)
+    nmat, amat = na_factorize(delta)
+    assert nmat.mul(amat).to_tsv() == delta.to_tsv(), n
+    dims = simple_graded_dims(cfg, n)
+    bounds = simple_dim_lower_bounds(cfg, n)
+    for la in shapes(n):
+        dim = dims[la]
+        assert laurent.is_bar_symmetric(dim), (n, la, dim)
+        assert all(c >= 0 for c in dim.values()), (n, la, dim)
+        assert laurent.eval_one(dim) >= bounds[la], (n, la, dim, bounds[la])
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_conjecture_consequences_on_shipped_configs(path):
+    cfg = load_config(path)
+    for n in range(1, 13):
+        _conjecture_consequences_hold(cfg, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_conjecture_consequences_on_random_configs(cfg):
+    for n in range(1, 8):
+        _conjecture_consequences_hold(cfg, n)

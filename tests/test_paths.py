@@ -223,7 +223,9 @@ def _statistics_match_oracles(cfg, n):
     for t in all_tableaux(n):
         assert tiles(cfg, n, t) == tiles_embedded(cfg, n, t), (n, t)
         assert degree_tiles(cfg, n, t) == degree_tiles_tilewise(cfg, n, t), (n, t)
-        assert tau_order(cfg, n, t) == tau_order_scan(cfg, n, t), (n, t)
+        order = tau_order_scan(cfg, n, t)
+        assert tau_order(cfg, n, t) == order, (n, t)
+        assert reduced_word(cfg, n, t) == [u.content for u in reversed(order)], (n, t)
         assert degree_klr(cfg, n, t) == degree_klr_residues(cfg, n, t), (n, t)
 
 
@@ -241,6 +243,14 @@ def test_tableau_statistics_match_oracles(path):
 def test_tableau_statistics_match_oracles_on_random_configs(cfg):
     for n in range(1, 7):
         _statistics_match_oracles(cfg, n)
+
+
+def test_tau_order_matches_pair_scan_at_e7_n10(cfg_e7):
+    # the diagonal closed form against the greedy pair scan, on every
+    # tableau at a size where the regions are long skew shapes
+    n = 10
+    for t in all_tableaux(n):
+        assert tau_order(cfg_e7, n, t) == tau_order_scan(cfg_e7, n, t), t
 
 
 def _walk_tables_match_residues(cfg, n):
