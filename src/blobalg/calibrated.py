@@ -48,7 +48,6 @@ __all__ = [
     "NumericSeed",
     "make_seed",
     "residue_value",
-    "gamma_from_shape",
     "CalibratedModule",
     "MAX_MODULE_BYTES",
     "module_bytes",
@@ -225,17 +224,6 @@ def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
         if _separated(cfg, candidate):
             return candidate
     raise NonGenericSeedError("could not sample a well-separated seed")
-
-
-def gamma_from_shape(cfg, n, shape, seed):
-    """Leading eigenvalue gamma_1: the value of the first box content."""
-    base = residue_value(cfg, seed, cfg.point_residue(shape.marker))
-    if shape.k > 0:
-        p = (n - shape.k) // 2 + 1
-        return base * seed.q ** (-2 * (p - 1))
-    if n % 2 == 0:
-        return base * seed.q**-n
-    return base * seed.q ** (-(n - 1))
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .params import (
     load_config,
     validate_config,
 )
-from .paths import degree_klr, degree_tiles, is_ladder, reduced_word
+from .paths import degree_klr, degree_tiles, ladder_tableaux, reduced_word
 from .tableaux import (
     count_std,
     enumerate_std,
@@ -186,10 +186,8 @@ def _cmd_blocks(args):
 
 def _cmd_ladders(args):
     cfg = _load(args.config)
-    found = []
-    for shape in _shape_range(args):
-        found.extend(tableau_str(t) for t in enumerate_std(args.n, shape)
-                     if is_ladder(cfg, args.n, t))
+    found = [tableau_str(t)
+             for t in ladder_tableaux(cfg, args.n, _shape_range(args))]
     if args.format == "json":
         _out_json({"n": args.n, "ladders": found})
     else:

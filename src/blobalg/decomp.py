@@ -2,22 +2,21 @@
 N*A factorization that yields the conjectural graded decomposition
 matrix, simple dimensions, and ladder lower bounds.
 
-Graded counts over the tableaux of one shape come from one transfer DP
-over its walks (_walks), which reads the shape's tables from
-paths.walk_tables, the one builder of what a walk reads; Delta, the
-graded dimensions and the ladder bounds of one (configuration, n) all
-share them.  With no target the DP gives the graded dimension of the
-standard module; with the residue ids of t_mu as target it gives the
-Delta entry (la, mu), which delta_matrix computes only where an exact
-block filter allows a nonzero value.  The cstd column sum is kept in
-the tests as the oracle (``delta_matrix_cstd`` in tests/oracles.py).
+All of them read paths.walk_tables, the one builder of what a walk
+reads.  Graded counts over the tableaux of one shape come from one
+transfer DP over its walks (_walks): with no target it gives the graded
+dimension of a standard module; with the residue ids of t_mu as target
+the Delta entry (la, mu), computed only where an exact block filter
+allows a nonzero value.  The ladder bounds are a DP over the sets of
+walkers reading one prefix (simple_dim_lower_bounds).  The cstd column
+sum is the test oracle for Delta (``delta_matrix_cstd`` in tests/oracles.py).
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 from . import laurent
-from .paths import EmbeddedPath, max_shape, walk_tables
+from .paths import split_walkers, walk_tables, walkers
 from .tableaux import Shape, count_std, shape_str, shapes, validate_shape
 
 __all__ = [
@@ -359,75 +358,33 @@ def simple_graded_dims(cfg, n):
     return dims
 
 
-def _tally_walks(n, c, se, sw, groups, least):
-    """Visit every n-step walk with exactly c SW steps, sharing
-    prefixes, through the states (j, r) of ShapeTables: step j + 1 reads
-    the residue id se[j + r] going SE and sw[r] going SW.  Each leaf's
-    residue-id tuple counts in ``groups[key] = [tableaux, mask of
-    negative counts]`` and lowers ``least[key]`` to c."""
-    seq = []
-    bit = 1 << c
-
-    def walk(j, r):
-        if j == n:
-            key = tuple(seq)
-            grp = groups.get(key)
-            if grp is None:
-                groups[key] = [1, bit]
-            else:
-                grp[0] += 1
-                grp[1] |= bit
-            if key not in least or c < least[key]:
-                least[key] = c
-            return
-        if r < n - j:
-            seq.append(se[j + r])
-            walk(j + 1, r)
-            seq.pop()
-        if r:
-            seq.append(sw[r])
-            walk(j + 1, r - 1)
-            seq.pop()
-
-    walk(0, c)
-
-
 def simple_dim_lower_bounds(cfg, n):
     """Lower bound for each simple dimension at v=1: the number of
     standard tableaux of the shape sharing a residue sequence with a
     ladder tableau of that shape.
 
-    One pass over the path lattice.  For each shape and each count c of
-    negative entries, every walk with c SW steps is visited once, with
-    shared prefixes, over the shape's walk tables; a leaf is keyed by
-    its residue sequence as a tuple of residue ids.  Per (shape, class)
-    only the tableau count and a bitmask of the counts c present are
-    kept, and per class the least c over all shapes, c*.  A ladder
-    tableau is one whose path is widest in its class (width n - 2c, so
-    c = c*) and whose shape is the max_shape of its path, which depends
-    only on the shape and c.  So a class adds its count to shape la
-    exactly when c* is in la's mask and max_shape at (la, c*) is la.  The per-tableau
-    form via is_ladder is kept in the tests as the oracle
-    (``simple_dim_lower_bounds_enum`` in tests/oracles.py).
+    A DP over supports, the sets of walkers (paths.walkers) that read a
+    prefix of residue ids; equal supports merge, adding their counts
+    per walker.  A final support is a residue class; with c* its least
+    c, it adds its tableaux of shape la to la's bound exactly when
+    (la, c*, 0) is in it and widest at (la, c*) is la.  The oracles are
+    ``simple_dim_lower_bounds_enum`` and ``..._walks`` (tests/oracles.py).
     """
-    least = {}    # class key -> c*
-    per_shape = []
-    for shape, tab in walk_tables(cfg, n).items():
-        groups = {}
-        widest = []
-        for c in range(len(tab.sw)):
-            _tally_walks(n, c, tab.se, tab.sw, groups, least)
-            rep_path = EmbeddedPath(tab.orbit, tab.x0 + 2 * c,
-                                    (False,) * c + (True,) * (n - c))
-            widest.append(max_shape(cfg, n, rep_path))
-        per_shape.append((shape, groups, widest))
-
-    out = {}
-    for shape, groups, widest in per_shape:
-        bound = 0
-        for key, (count, mask) in groups.items():
-            c = least[key]
-            if mask >> c & 1 and widest[c] == shape:
-                bound += count
-        out[shape] = bound
+    order, tables, start, widest = walkers(cfg, n)
+    layer = [start]
+    for j in range(n):
+        merged = {}
+        for counts in layer:
+            for sub in split_walkers(tables, j, counts).values():
+                have = merged.setdefault(frozenset(sub), sub)
+                if have is not sub:
+                    for w, k in sub.items():
+                        have[w] += k
+        layer = merged.values()
+    out = dict.fromkeys(order, 0)
+    for counts in layer:
+        least = min(c for _, c, _ in counts)
+        for (i, _, _), k in counts.items():
+            if (i, least, 0) in counts and widest[i][least] == order[i]:
+                out[order[i]] += k
     return out

@@ -422,7 +422,8 @@ def validate_config(cfg):
     # pairwise distinct, their q^{+-2}-shifts must avoid the four bases,
     # and none of the twelve resulting points may equal +-1.  (Shifted
     # points are allowed to meet each other: the graded theory is about
-    # exactly such collisions.)
+    # exactly such collisions.)  theta avoids +-1, +-q, +-q^2, the alphas
+    # and q^2/alpha1: both roots of the even-n blob kappa [theta/q] - [alpha1/q].
     bases = {}
     for name in ALPHA_LABELS:
         r = cfg.point_residue(name)
@@ -448,6 +449,8 @@ def validate_config(cfg):
     for name in ALPHA_LABELS:
         if theta == cfg.point_residue(name):
             out.append("theta equals %s" % name)
+    if theta == cfg.res_shift(cfg.point_residue("alpha1_inv"), 1):
+        out.append("theta equals q^2/alpha1")
     c = cfg.hyperplane_center(theta.orbit)
     if c is not None:
         d = theta.exp - c

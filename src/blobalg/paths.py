@@ -1,32 +1,25 @@
 """Lattice-path picture of standard tableaux.
 
 A tableau embeds as a walk on an exponent lattice: one vertex per box
-plus a starting vertex, each step moving one unit right (SE, positive
-entry) or left (SW, negative entry).  Vertex j sits x(j) = x(j-1) +- 1,
-and the markers of the parameter configuration sit on a fixed row just
-above the walk, at positions congruent to the marker anchor mod 2.
-The start vertex and the residue a step reads are tableaux.walk_start
-and tableaux.step_residue, shared with cstd.
+plus a start, each step one unit right (SE, positive entry) or left
+(SW, negative entry), under a row holding the configuration's markers
+at positions congruent to the marker anchor mod 2.  The start vertex
+and the residue a step reads are tableaux.walk_start and step_residue.
 
-Everything degree-related lives here: the tile diagram between a path
-and the path of its shape's distinguished tableau, the combinatorial
-degree read off the tiles, the reduced word obtained by peeling tiles
-in a canonical order, and the equivalent degree computed by pushing the
-reduced word through the residue sequence.
+Here live the tile diagram between a path and its shape's distinguished
+path, the degree read off the tiles, the reduced word peeled off them in
+a canonical order, the same degree pushed through the residue sequence
+by that word, and the ladder rule.
 
-What the walks of one shape read depends on (n, shape) alone: the walk
-start, t_lambda's vertex positions and residues, the residue a step
-reads from each walk state and the row degrees (ShapeTables).
-walk_tables builds them once per (configuration, n) for every shape of
-n, with every residue interned once as a small id, and keeps them on
-the configuration.  It is the one builder behind the graded Delta
-matrices, the graded dimensions and the ladder bounds in decomp and
-behind the tableau statistics here: a tableau costs n row lookups for
-degree_tiles and one pass over its rows for the tile order
-(_tile_order, read off the diagonals) of tau_order, reduced_word and
-degree_klr.  The two degrees are still computed independently:
-degree_tiles scores rows, degree_klr threads the reduced word through
-the residue ids.  cstd and the similarity moves stay on Residue objects.
+walk_tables builds what the walks of each shape read (ShapeTables)
+once per (configuration, n), with residues interned as small ids.
+Every exact command reads them: decomp's Delta, graded dimensions and
+ladder bounds; here degree_tiles (n row lookups per tableau), the tile
+order (_tile_order) of tau_order, reduced_word and degree_klr, and the
+ladder rule (walkers, split_walkers, ladder_tableaux), a subset
+construction over the walk states.  The two degrees stay independent:
+degree_tiles scores rows, degree_klr swaps residue ids.  cstd,
+residue_class_tableaux and the similarity moves stay on Residue objects.
 """
 
 from __future__ import annotations
@@ -40,6 +33,7 @@ from .tableaux import (
     Shape,
     Tableau,
     box_contents,
+    enumerate_std,
     from_negated_set,
     is_standard,
     is_valid_shape,
@@ -81,6 +75,9 @@ __all__ = [
     "perm_from_tableau",
     "coxeter_length",
     "max_shape",
+    "walkers",
+    "split_walkers",
+    "ladder_tableaux",
     "is_ladder",
 ]
 
@@ -563,14 +560,71 @@ def max_shape(cfg, n, path) -> Optional[Shape]:
     return None
 
 
+def walkers(cfg, n):
+    """The shapes of n, their ShapeTables, the walkers {(i, c, c): 1}
+    before the first step, and widest.  A walker (i, c, r) walks shape i
+    with c SW steps, r still to come; widest[i][c] is the max_shape of
+    those walks, which reads only their two ends."""
+    tabs = walk_tables(cfg, n)
+    order = list(tabs)
+    tables = [tabs[shape] for shape in order]
+    widest = [[max_shape(cfg, n, EmbeddedPath(
+        tab.orbit, tab.x0 + 2 * c, (False,) * c + (True,) * (n - c)))
+        for c in range(len(tab.sw))] for tab in tables]
+    start = {(i, c, c): 1 for i, row in enumerate(widest)
+             for c in range(len(row))}
+    return order, tables, start, widest
+
+
+def split_walkers(tables, j, counts):
+    """Step j + 1 of {walker: tableaux}, grouped by the residue id read,
+    se[j + r] going SE and sw[r] going SW: {id: {successor: tableaux}}."""
+    out = {}
+    for (i, c, r), k in counts.items():
+        se, sw = tables[i].se, tables[i].sw
+        steps = [(sw[r], r - 1)] if r else []
+        if j + r < len(se):
+            steps.append((se[j + r], r))
+        for rid, s in steps:
+            group = out.setdefault(rid, {})
+            group[i, c, s] = group.get((i, c, s), 0) + k
+    return out
+
+
+def _ladder_rule(cfg, n):
+    """The ladder test: a tableau's residue ids lead from all walkers to
+    the support of its class (moves memoized); it is a ladder when its c
+    is the least there (the widest path) and widest[shape][c] agrees."""
+    order, tables, start, widest = walkers(cfg, n)
+    index = {shape: i for i, shape in enumerate(order)}
+    root, moves = frozenset(start), {}  # (j, support) -> {id: next support}
+
+    def ladder(t):
+        i = index[t.shape]
+        se, sw = tables[i].se, tables[i].sw
+        negs = t.negated_set()
+        c = r = len(negs)
+        support = root
+        for j in range(n):
+            rid, r = (sw[r], r - 1) if j + 1 in negs else (se[j + r], r)
+            key = j, support
+            if key not in moves:
+                moves[key] = {k: frozenset(sub) for k, sub in split_walkers(
+                    tables, j, dict.fromkeys(support, 1)).items()}
+            support = moves[key][rid]
+        return c == min(w[1] for w in support) and widest[i][c] == t.shape
+
+    return ladder
+
+
+def ladder_tableaux(cfg, n, shapes):
+    """The ladder tableaux of the shapes in enumerate_std order
+    (_ladder_rule; ``is_ladder_class`` in tests/oracles.py over cstd)."""
+    ladder = _ladder_rule(cfg, n)
+    return [t for shape in shapes for t in enumerate_std(n, shape)
+            if ladder(t)]
+
+
 def is_ladder(cfg, n, t):
-    """A tableau is a ladder when its own path is the widest rightward
-    presentation within its residue class."""
-    p = embed(cfg, n, t)
-    if max_shape(cfg, n, p) != t.shape:
-        return False
-    w = width(p)
-    for u in residue_class_tableaux(cfg, n, t):
-        if width(embed(cfg, n, u)) > w:
-            return False
-    return True
+    """Whether t is a ladder tableau (_ladder_rule)."""
+    return _ladder_rule(cfg, n)(t)

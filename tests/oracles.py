@@ -10,8 +10,12 @@ tableau, score it tile by tile, order its tiles by a scan over all tile
 pairs, and thread the reduced word through Residue objects.  The graded
 oracles are the plain per-tableau definitions: they enumerate every
 standard tableau of the shape (or, for Delta, every coloured tableau
-through cstd) and score each by the tile-by-tile degree.  The norm
-oracle is the exact spectral norm.
+through cstd) and score each by the tile-by-tile degree.  The ladder
+oracles are the per-tableau rule, which compares a tableau's width
+with every tableau of its residue class through cstd, and the
+walk-by-walk tally, which visits every walk of every shape and keeps
+a bitmask of negative counts per class.  The norm oracle is the exact
+spectral norm.
 """
 
 import heapq
@@ -21,7 +25,17 @@ import numpy as np
 from blobalg import laurent
 from blobalg.decomp import GradedMatrix
 from blobalg.params import ALPHA_LABELS, MARKER_LABELS
-from blobalg.paths import Tile, embed, is_ladder, positions, tile_degree
+from blobalg.paths import (
+    EmbeddedPath,
+    Tile,
+    embed,
+    max_shape,
+    positions,
+    residue_class_tableaux,
+    tile_degree,
+    walk_tables,
+    width,
+)
 from blobalg.tableaux import (
     _target_residues,
     cstd,
@@ -174,10 +188,26 @@ def delta_matrix_cstd(cfg, n):
         tuple(col[i] for col in cols) for i in range(len(order))))
 
 
+def is_ladder_class(cfg, n, t):
+    """Oracle for paths.ladder_tableaux and is_ladder: t's own path is
+    the widest rightward presentation within its residue class, found
+    by cstd over every shape (residue_class_tableaux), and t's shape is
+    the max_shape of that path."""
+    p = embed(cfg, n, t)
+    if max_shape(cfg, n, p) != t.shape:
+        return False
+    w = width(p)
+    for u in residue_class_tableaux(cfg, n, t):
+        if width(embed(cfg, n, u)) > w:
+            return False
+    return True
+
+
 def simple_dim_lower_bounds_enum(cfg, n):
     """Oracle for decomp.simple_dim_lower_bounds: group each shape's
     tableaux by residue sequence and count the groups that hold a
-    ladder tableau (is_ladder, one residue class walk per tableau)."""
+    ladder tableau (is_ladder_class, one residue class walk per
+    tableau)."""
     out = {}
     for la in shapes(n):
         by_res = {}
@@ -185,9 +215,64 @@ def simple_dim_lower_bounds_enum(cfg, n):
             by_res.setdefault(residue_seq(cfg, n, t), []).append(t)
         bound = 0
         for group in by_res.values():
-            if any(is_ladder(cfg, n, t) for t in group):
+            if any(is_ladder_class(cfg, n, t) for t in group):
                 bound += len(group)
         out[la] = bound
+    return out
+
+
+def _tally_walks(n, c, se, sw, groups, least):
+    """Visit every n-step walk with exactly c SW steps, sharing
+    prefixes: step j + 1 from the state (j, r) reads the residue id
+    se[j + r] going SE and sw[r] going SW.  Each leaf's residue-id
+    tuple counts in ``groups[key] = [tableaux, mask of negative
+    counts]`` and lowers ``least[key]`` to c."""
+    seq = []
+    bit = 1 << c
+
+    def walk(j, r):
+        if j == n:
+            key = tuple(seq)
+            grp = groups.setdefault(key, [0, 0])
+            grp[0] += 1
+            grp[1] |= bit
+            least[key] = min(least.get(key, c), c)
+            return
+        if r < n - j:
+            seq.append(se[j + r])
+            walk(j + 1, r)
+            seq.pop()
+        if r:
+            seq.append(sw[r])
+            walk(j + 1, r - 1)
+            seq.pop()
+
+    walk(0, c)
+
+
+def simple_dim_lower_bounds_walks(cfg, n):
+    """Oracle for decomp.simple_dim_lower_bounds: every walk of every
+    shape visited once and keyed by its residue ids, with per (shape,
+    class) the tableau count and a bitmask of the counts c present,
+    and per class the least c over all shapes, c*.  A class adds its
+    count to shape la exactly when c* is in la's mask and the max_shape
+    of a walk of la with c* SW steps is la."""
+    least = {}
+    per_shape = []
+    for shape, tab in walk_tables(cfg, n).items():
+        groups = {}
+        widest = []
+        for c in range(len(tab.sw)):
+            _tally_walks(n, c, tab.se, tab.sw, groups, least)
+            rep_path = EmbeddedPath(tab.orbit, tab.x0 + 2 * c,
+                                    (False,) * c + (True,) * (n - c))
+            widest.append(max_shape(cfg, n, rep_path))
+        per_shape.append((shape, groups, widest))
+    out = {}
+    for shape, groups, widest in per_shape:
+        out[shape] = sum(count for key, (count, mask) in groups.items()
+                         if mask >> least[key] & 1
+                         and widest[least[key]] == shape)
     return out
 
 

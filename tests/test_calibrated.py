@@ -15,14 +15,12 @@ from blobalg.calibrated import (
     check_hecke_relations,
     check_jm_spectrum,
     check_tl_relations,
-    gamma_from_shape,
     make_seed,
     residue_value,
 )
 from blobalg.tableaux import (
     Shape,
     Tableau,
-    box_contents,
     count_std,
     enumerate_std,
     shapes,
@@ -87,14 +85,6 @@ def test_dimension_matches_tableau_count(cfg_generic):
             m = build_calibrated(cfg_generic, n, sh, seed)
             assert m.dim == count_std(n, sh)
             assert all(mat.shape == (m.dim, m.dim) for _, mat, _ in m.generators())
-
-
-def test_gamma_from_shape_is_first_box_content(any_cfg):
-    seed = make_seed(any_cfg, 2)
-    for n in (1, 2, 3, 4, 5):
-        for sh in shapes(n):
-            expected = residue_value(any_cfg, seed, box_contents(any_cfg, n, sh)[1])
-            assert abs(gamma_from_shape(any_cfg, n, sh, seed) - expected) < 1e-12
 
 
 def test_all_relations_hold_on_generic_config(cfg_generic):

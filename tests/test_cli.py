@@ -9,6 +9,7 @@ import pytest
 
 import blobalg.calibrated as calibrated
 import blobalg.paths as paths
+import blobalg.tableaux as tableaux
 from blobalg.calibrated import (
     MAX_MODULE_BYTES,
     build_calibrated,
@@ -16,7 +17,7 @@ from blobalg.calibrated import (
     module_bytes,
 )
 from blobalg.cli import _CHECKS, run
-from blobalg.params import load_config
+from blobalg.params import load_config, parse_config, validate_config
 from blobalg.tableaux import count_std, parse_shape, shapes
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +64,26 @@ def test_validate_rejects_standing_assumption_violation(tmp_path, capsys):
                         "--format", "json")
     assert rc == 1
     assert json.loads(out)["ok"] is False
+
+
+# theta = q^2/alpha1 (q^14 = q^-4 at e = 9): the blob relation's kappa
+# [theta/q] - [alpha1/q] vanishes at even n
+KAPPA_ROOT = {"e": 9, "points": {"alpha1": {"integral": -12},
+                                 "alpha2": {"integral": 13},
+                                 "theta": {"integral": -4}},
+              "inversions": {}}
+
+
+def test_validate_rejects_theta_at_second_kappa_root(tmp_path, capsys):
+    assert validate_config(parse_config(KAPPA_ROOT)) == [
+        "theta equals q^2/alpha1"]
+    bad = tmp_path / "kappa.json"
+    bad.write_text(json.dumps(KAPPA_ROOT))
+    rc, out, _ = invoke(capsys, "validate", "--config", str(bad))
+    assert rc == 1
+    assert out == "invalid\ntheta equals q^2/alpha1\n"
+    rc, _, _ = invoke(capsys, "bounds", "--config", str(bad), "--n", "2")
+    assert rc == 1
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):
@@ -195,6 +216,27 @@ def test_ladders_generic_lists_everything(capsys):
     assert rc == 0
     total = sum(count_std(3, s) for s in shapes(3))
     assert len(out.splitlines()) == total
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_ladders_shape_lists_its_rows_of_the_full_listing(capsys, fmt):
+    def listing(*shape):
+        rc, out, _ = invoke(capsys, "ladders", "--config",
+                            str(CONFIGS / "e7.json"), "--n", "7",
+                            "--format", fmt, *shape)
+        assert rc == 0
+        return (json.loads(out)["ladders"] if fmt == "json"
+                else out.splitlines())
+
+    full = listing()
+    rows = []
+    for s in shapes(7):
+        lit = "(%d,%s)" % s
+        part = listing("--shape", lit)
+        assert part == [t for t in full if t.startswith(lit + ":")]
+        rows.extend(part)
+    assert rows == full
+    assert len(full) < sum(count_std(7, s) for s in shapes(7))
 
 
 def test_bounds_table(capsys):
@@ -456,3 +498,25 @@ def test_walk_tables_built_once_per_command(monkeypatch, capsys, cmd):
                       "--n", "8")
     assert rc == 0
     assert built == [8]
+
+
+GUARDED = ("delta", "decomp", "blocks", "bounds", "ladders", "degree", "word")
+
+
+@pytest.mark.parametrize("cfg", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_exact_commands_run_without_cstd(monkeypatch, capsys, cfg):
+    # every exact command reads the walk tables; none walks cstd
+    def argv(cmd, n):
+        return (cmd, "--config", str(CONFIGS / cfg), "--n", str(n))
+
+    plain = {(cmd, n): invoke(capsys, *argv(cmd, n))
+             for cmd in GUARDED for n in (4, 5)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cstd called")
+
+    monkeypatch.setattr(tableaux, "cstd", refuse)
+    monkeypatch.setattr(paths, "residue_class_tableaux", refuse)
+    for (cmd, n), (rc, out, _) in plain.items():
+        assert rc == 0 and out, (cmd, n)
+        assert invoke(capsys, *argv(cmd, n))[:2] == (0, out), (cmd, n)

@@ -17,7 +17,7 @@ from blobalg.decomp import (
     simple_dim_lower_bounds,
     simple_graded_dims,
 )
-from blobalg.params import load_config
+from blobalg.params import load_config, parse_config
 from blobalg.paths import residue_class_tableaux, walk_tables
 from blobalg.tableaux import (
     Shape,
@@ -35,6 +35,7 @@ from oracles import (
     delta_graded_dim_enum,
     delta_matrix_cstd,
     simple_dim_lower_bounds_enum,
+    simple_dim_lower_bounds_walks,
 )
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -533,6 +534,13 @@ def test_bounds_match_enumeration(cfg_name):
         assert simple_dim_lower_bounds(cfg, n) == simple_dim_lower_bounds_enum(cfg, n)
 
 
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_bounds_match_walk_tally(path):
+    cfg = load_config(path)
+    for n in range(1, 13):
+        assert simple_dim_lower_bounds(cfg, n) == simple_dim_lower_bounds_walks(cfg, n)
+
+
 @pytest.mark.parametrize("cfg_name", ["e5_formal", "e14_fig", "e7"])
 def test_bounds_below_conjectural_dims(cfg_name):
     cfg = CONFIG_FACTORIES[cfg_name]()
@@ -565,7 +573,7 @@ def _conjecture_consequences_hold(cfg, n):
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_conjecture_consequences_on_shipped_configs(path):
     cfg = load_config(path)
-    for n in range(1, 13):
+    for n in range(1, 17):
         _conjecture_consequences_hold(cfg, n)
 
 
@@ -574,3 +582,14 @@ def test_conjecture_consequences_on_shipped_configs(path):
 def test_conjecture_consequences_on_random_configs(cfg):
     for n in range(1, 8):
         _conjecture_consequences_hold(cfg, n)
+
+
+def test_theta_at_second_kappa_root_breaks_bar_symmetry():
+    # why validate_config rejects theta = q^2/alpha1: with validation
+    # bypassed, (0,theta) at n = 2 is not bar-symmetric (v + 3)
+    cfg = parse_config({"e": 9, "points": {"alpha1": {"integral": -12},
+                                           "alpha2": {"integral": 13},
+                                           "theta": {"integral": -4}},
+                        "inversions": {}})
+    dim = simple_graded_dims(cfg, 2)[Shape(0, "theta")]
+    assert not laurent.is_bar_symmetric(dim), dim

@@ -12,6 +12,7 @@ from blobalg.paths import (
     degree_tiles,
     embed,
     is_ladder,
+    ladder_tableaux,
     max_shape,
     negate,
     path_residues,
@@ -50,6 +51,7 @@ from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
     degree_klr_residues,
     degree_tiles_tilewise,
+    is_ladder_class,
     row_degree,
     tau_order_scan,
     tiles_embedded,
@@ -370,6 +372,29 @@ def test_t_lambda_is_always_ladder(cfg_e7, cfg_e5_formal, cfg_einf_integral):
         for n in range(1, 6):
             for shape in shapes(n):
                 assert is_ladder(cfg, n, t_lambda(n, shape))
+
+
+def _ladders_match_class_rule(cfg, n):
+    found = ladder_tableaux(cfg, n, shapes(n))
+    expect = [t for la in shapes(n) for t in enumerate_std(n, la)
+              if is_ladder_class(cfg, n, t)]
+    assert found == expect, n
+    for t in found[:3] + expect[-3:]:
+        assert is_ladder(cfg, n, t)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_ladder_tableaux_match_class_rule(path):
+    cfg = load_config(path)
+    for n in range(1, 9):
+        _ladders_match_class_rule(cfg, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs())
+def test_ladder_tableaux_match_class_rule_on_random_configs(cfg):
+    for n in range(1, 7):
+        _ladders_match_class_rule(cfg, n)
 
 
 def test_width_is_step_sum(cfg_e7):
