@@ -2,11 +2,13 @@
 
 A numeric seed fixes complex values for q, the boundary parameters q0
 and qn, and a base value for every formal orbit, consistently with a
-parameter configuration.  Each shape then yields matrices for the
-generators T_0, T_1, ..., T_{n-1}, T_0v acting on the standard tableaux
-of the shape, with T_n reconstructed by conjugation and the commuting
-family X_1, ..., X_n built recursively.  Relation checkers report one
-residual per relation and the largest of them per check.
+parameter configuration.  Each shape then yields matrices acting on
+the standard tableaux of the shape: T_0, T_1, ..., T_{n-1} by one
+seminormal rule, T_0v from X_1 = T_0v T_0, T_n by conjugation and the
+commuting family X_1, ..., X_n recursively.  The seed is non-generic
+for a shape when one of its seminormal denominators falls below 1e-8.
+Relation checkers report one residual per relation and the largest of
+them per check, against a tolerance of their own (default 1e-8).
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
@@ -33,15 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import DEFAULT_TOL, INTEGRAL_ORBIT, res_to_complex
-from .tableaux import (
-    Tableau,
-    count_std,
-    enumerate_std,
-    is_standard,
-    residue_seq,
-    shapes,
-    weyl_act,
-)
+from .tableaux import count_std, enumerate_std, residue_seq, shapes
 
 __all__ = [
     "NonGenericSeedError",
@@ -65,6 +59,10 @@ _MARGIN = 1e-6  # numeric separation demanded of the special points
 # residuals grow like a power of its inverse.  The wide margin costs a
 # modest fraction of samples and keeps residuals near 1e-10.
 _DENOM_MARGIN = 0.25
+# A built module's seminormal denominators must reach this much; below
+# it the seed is non-generic for that module, whatever the residual
+# tolerance of the checks.
+_DENOM_FLOOR = 1e-8
 
 
 # Size budget of one calibrated check (see module_bytes): 165 MiB at
@@ -83,7 +81,6 @@ class NumericSeed:
     qn: complex
     orbit_bases: dict = field(default_factory=dict)
     theta_value: complex = 0j
-    tolerance: float = DEFAULT_TOL
 
     @property
     def alpha1(self):
@@ -169,7 +166,7 @@ def _separated(cfg, seed, margin=_MARGIN):
     return True
 
 
-def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
+def make_seed(cfg, seed=None):
     """Draw a generic numeric seed consistent with the configuration.
 
     q0 and qn are pinned exactly to whatever the configuration forces
@@ -220,7 +217,7 @@ def make_seed(cfg, seed=None, tol=DEFAULT_TOL):
         if not all(_in_annulus(z) for z in bases.values()):
             continue
         theta_value = bases.get(ot, 1) * q**ct
-        candidate = NumericSeed(q, q0, qn, bases, theta_value, tol)
+        candidate = NumericSeed(q, q0, qn, bases, theta_value)
         if _separated(cfg, candidate):
             return candidate
     raise NonGenericSeedError("could not sample a well-separated seed")
@@ -244,7 +241,9 @@ class CalibratedModule:
         return len(self.basis)
 
     def generators(self):
-        """(name, matrix, quadratic parameter) for T_0 .. T_n and T_0v."""
+        """(name, matrix, quadratic parameter) for T_0 .. T_n and T_0v:
+        the one generator table of the checks.  All but T_0v form the
+        commuting chain, and each e_i is matrix - parameter * identity."""
         out = [("T0", self.t0, self.seed.q0)]
         out += [("T%d" % (i + 1), m, self.seed.q) for i, m in enumerate(self.ts)]
         out.append(("Tn", self.tn, self.seed.qn))
@@ -266,64 +265,59 @@ def module_bytes(n):
     return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
-def _flip(shape, n, t, i):
-    moved = weyl_act(i, t.entries)
-    if is_standard(n, shape, moved):
-        return Tableau(shape, moved)
-    return None
-
-
 def build_calibrated(cfg, n, shape, seed):
     """Assemble the generator matrices on the standard tableaux basis.
 
-    Raises NonGenericSeedError when an action denominator degenerates,
-    naming the offending tableau and index.
+    Every T_i, T_0 included, follows one seminormal rule (Ram,
+    "Calibrated representations of affine Hecke algebras", 2004): the
+    column of a tableau t has the diagonal entry a = num / denom read
+    off t's residue values, and where s_i t is standard the pair
+    {t, s_i t} carries the symmetric coefficient
+    sqrt(-(a - p)(a + 1/p)), p the quadratic parameter of T_i.  On
+    negated sets N, s_i (i >= 1) moves t to N ^ {i, i+1} exactly when
+    one of i, i + 1 lies in N, and s_0 moves t to N ^ {1} when that set
+    is in the basis.  T_0v, T_n and X_1 .. X_n are derived by products.
+
+    Raises NonGenericSeedError when a denominator is below
+    _DENOM_FLOOR, naming the offending generator and tableau; T_1 ..
+    T_{n-1} are built before T_0.
     """
     q, q0, qn = seed.q, seed.q0, seed.qn
-    big_q0, big_qn = q0 - 1 / q0, qn - 1 / qn
+    big_q, big_q0, big_qn = q - 1 / q, q0 - 1 / q0, qn - 1 / qn
     basis = list(enumerate_std(n, shape))
-    index = {t: r for r, t in enumerate(basis)}
-    gamma = [
-        [residue_value(cfg, seed, r) for r in residue_seq(cfg, n, t)] for t in basis
-    ]
+    negs = [t.negated_set() for t in basis]
+    index = {s: r for r, s in enumerate(negs)}
+    seqs = [residue_seq(cfg, n, t) for t in basis]
+    values = {r: residue_value(cfg, seed, r) for r in set().union(*seqs)}
+    gamma = [[values[r] for r in seq] for seq in seqs]
     dim = len(basis)
 
-    ts = []
-    for i in range(1, n):
+    mats = []
+    for i in (*range(1, n), 0):
+        par = q if i else q0
         mat = np.zeros((dim, dim), dtype=complex)
-        for col, t in enumerate(basis):
-            denom = 1 - gamma[col][i - 1] / gamma[col][i]
-            if abs(denom) < seed.tolerance:
+        for col, (g, s) in enumerate(zip(gamma, negs)):
+            if i:
+                num, denom = big_q, 1 - g[i - 1] / g[i]
+                other = s ^ {i, i + 1} if (i in s) != (i + 1 in s) else None
+            else:
+                h = 1 / g[0]
+                num, denom = big_q0 + big_qn * h, 1 - h * h
+                other = s ^ {1}
+            if abs(denom) < _DENOM_FLOOR:
                 raise NonGenericSeedError(
-                    "non-generic seed: T_%d denominator ~ 0 on %s" % (i, t.entries)
-                )
-            a = (q - 1 / q) / denom
+                    "non-generic seed: T_%d denominator ~ 0 on %s"
+                    % (i, basis[col].entries))
+            a = num / denom
             mat[col, col] = a
-            other = _flip(shape, n, t, i)
+            row = index.get(other)
             # evaluate the pair coefficient once, from the lower column:
             # both radicands agree analytically, but evaluating them
             # independently can pick opposite branches across the cut
-            if other is not None and index[other] > col:
-                c = cmath.sqrt(-(a - q) * (a + 1 / q))
-                mat[index[other], col] = c
-                mat[col, index[other]] = c
-        ts.append(mat)
-
-    t0 = np.zeros((dim, dim), dtype=complex)
-    for col, t in enumerate(basis):
-        g = 1 / gamma[col][0]
-        denom = 1 - g * g
-        if abs(denom) < seed.tolerance:
-            raise NonGenericSeedError(
-                "non-generic seed: T_0 denominator ~ 0 on %s" % (t.entries,)
-            )
-        a = (big_q0 + big_qn * g) / denom
-        t0[col, col] = a
-        other = _flip(shape, n, t, 0)
-        if other is not None and index[other] > col:
-            c = cmath.sqrt(-(a - q0) * (a + 1 / q0))
-            t0[index[other], col] = c
-            t0[col, index[other]] = c
+            if row is not None and row > col:
+                mat[row, col] = mat[col, row] = cmath.sqrt(-(a - par) * (a + 1 / par))
+        mats.append(mat)
+    *ts, t0 = mats
 
     # T_0v has diagonal (Qn + Q0*g)/(1 - g^2) and off-diagonal
     # g*sqrt(-(b - qn)(b + 1/qn)), but the branch of that root is not
@@ -371,34 +365,26 @@ def _report(relations, tol):
     }
 
 
-def check_hecke_relations(m, tol=None):
+def check_hecke_relations(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals."""
-    tol = m.seed.tolerance if tol is None else tol
     eye = np.eye(m.dim, dtype=complex)
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
         rel["quadratic %s" % name] = _norm((mat - par * eye) @ (mat + eye / par), tol)
 
-    chain = [("T0", m.t0)] + [("T%d" % (i + 1), t) for i, t in enumerate(m.ts)]
-    chain.append(("Tn", m.tn))
-    for i in range(len(chain)):
-        for j in range(i + 2, len(chain)):
-            a, b = chain[i][1], chain[j][1]
-            name = "commute %s %s" % (chain[i][0], chain[j][0])
-            rel[name] = _norm(a @ b - b @ a, tol)
-    for i in range(2, len(chain) - 1):
-        b = chain[i][1]
-        rel["commute T0v %s" % chain[i][0]] = _norm(m.t0v @ b - b @ m.t0v, tol)
+    *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
+    for i, (na, a, _) in enumerate(chain):
+        for nb, b, _ in chain[i + 2:]:
+            rel["commute %s %s" % (na, nb)] = _norm(a @ b - b @ a, tol)
+    for name, b, _ in chain[2:-1]:
+        rel["commute T0v %s" % name] = _norm(t0v @ b - b @ t0v, tol)
 
-    for i in range(len(m.ts) - 1):
-        a, b = m.ts[i], m.ts[i + 1]
-        rel["braid3 T%d T%d" % (i + 1, i + 2)] = _norm(a @ b @ a - b @ a @ b, tol)
+    for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
+        rel["braid3 %s %s" % (na, nb)] = _norm(a @ b @ a - b @ a @ b, tol)
     if m.ts:
-        a, b = m.t0, m.ts[0]
-        rel["braid4 T0 T1"] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
-        a, b = m.tn, m.ts[-1]
-        rel["braid4 Tn T%d" % (m.n - 1)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
+        for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
+            rel["braid4 %s %s" % (na, nb)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
 
     for i in range(m.n):
         for j in range(i + 1, m.n):
@@ -407,26 +393,17 @@ def check_hecke_relations(m, tol=None):
     return _report(rel, tol)
 
 
-def _idempotent(m, i, eye):
-    """e_i for 0 <= i <= n: T_i minus its q (T0 at i = 0, Tn at i = n)."""
-    if i == m.n:
-        return m.tn - m.seed.qn * eye
-    if i == 0:
-        return m.t0 - m.seed.q0 * eye
-    return m.ts[i - 1] - m.seed.q * eye
-
-
-def check_tl_relations(m, tol=None):
+def check_tl_relations(m, tol=DEFAULT_TOL):
     """Square and smash relations for the e generators, formed one at a
-    time as in blob_check: only e = e_i and prev = e_(i-1) are held."""
-    tol = m.seed.tolerance if tol is None else tol
+    time from generators() as in blob_check, e_0v last: only e = e_i and
+    prev = e_(i-1) are held."""
     q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
     eye = np.eye(m.dim, dtype=complex)
-    pars = {0: q0, m.n: qn}
     rel = {}
-    for i in range(m.n + 1):
-        e = _idempotent(m, i, eye)
-        rel["square e%d" % i] = _norm(e @ e + _bracket(pars.get(i, q)) * e, tol)
+    for i, (name, mat, par) in enumerate(m.generators()):
+        e = mat - par * eye
+        rel["square e%s" % ("0v" if name == "T0v" else i)] = _norm(
+            e @ e + _bracket(par) * e, tol)
         if i == 1 < m.n:
             rel["smash e1 e0 e1"] = _norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
         if 2 <= i < m.n:
@@ -438,16 +415,13 @@ def check_tl_relations(m, tol=None):
             )
         prev = e
     del prev, e
-    e0v = m.t0v - m.seed.qn * eye
-    rel["square e0v"] = _norm(e0v @ e0v + _bracket(qn) * e0v, tol)
     kinds = ("square", "smash", "tl")    # the report order
     return _report(dict(sorted(
         rel.items(), key=lambda kv: kinds.index(kv[0].split()[0]))), tol)
 
 
-def check_jm_spectrum(m, tol=None):
+def check_jm_spectrum(m, tol=DEFAULT_TOL):
     """X_i must be diagonal with the residue values on the diagonal."""
-    tol = m.seed.tolerance if tol is None else tol
     rel = {}
     for i, x in enumerate(m.xs, start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
@@ -456,18 +430,16 @@ def check_jm_spectrum(m, tol=None):
     return _report(rel, tol)
 
 
-def blob_check(m, tol=None):
+def blob_check(m, tol=DEFAULT_TOL):
     """Alternating-product relations: the zero shape carries the kappa
     relations, every other shape is annihilated by both products.  The
     idempotents are formed one at a time, so only the two running
-    products I0 and I1 are held beside the module."""
-    tol = m.seed.tolerance if tol is None else tol
+    products I0 (even e_i) and I1 (odd e_i) are held beside the module."""
     eye = np.eye(m.dim, dtype=complex)
-    i0, i1 = eye, eye
-    for i in range(0, m.n + 1, 2):
-        i0 = i0 @ _idempotent(m, i, eye)
-    for i in range(1, m.n + 1, 2):
-        i1 = i1 @ _idempotent(m, i, eye)
+    prods = [eye, eye]
+    for i, (_, mat, par) in enumerate(m.generators()[:m.n + 1]):
+        prods[i % 2] = prods[i % 2] @ (mat - par * eye)
+    i0, i1 = prods
     rel = {}
     if m.shape.k == 0:
         th, q = m.seed.theta_value, m.seed.q

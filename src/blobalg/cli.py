@@ -4,6 +4,7 @@ and the floating-point relation checks, with TSV and JSON output."""
 import argparse
 import json
 import sys
+import warnings
 
 from . import laurent
 from .decomp import (
@@ -195,12 +196,29 @@ def _cmd_ladders(args):
     return 0
 
 
+def _warn_on_simple_dims(rows):
+    """Warn, as decomposition_from_delta does on negative N entries,
+    where a conjectural simple dimension breaks what graded cellularity
+    implies: a self-dual simple module has a bar-symmetric graded
+    dimension with nonnegative coefficients, at least its ladder bound
+    at v = 1."""
+    for s, lo, d1, p in rows:
+        broken = [what for what, bad in (
+            ("not bar-symmetric", not laurent.is_bar_symmetric(p)),
+            ("a negative coefficient", any(c < 0 for c in p.values())),
+            ("below its ladder bound %d" % lo, d1 < lo)) if bad]
+        if broken:
+            warnings.warn("conjectural graded dimension of %s: %s"
+                          % (shape_str(s), ", ".join(broken)))
+
+
 def _cmd_bounds(args):
     cfg = _load(args.config)
     lows = simple_dim_lower_bounds(cfg, args.n)
     dims = simple_graded_dims(cfg, args.n)
     rows = [(s, lows[s], laurent.eval_one(dims[s]), dims[s])
             for s in shapes(args.n)]
+    _warn_on_simple_dims(rows)
     if args.format == "json":
         _out_json({"n": args.n, "conjectural": True,
                    "rows": [{"shape": shape_str(s), "lower_bound": lo,
@@ -239,12 +257,12 @@ def _cmd_calibrated_check(args):
             "and its relation checks, over the budget of %d MiB"
             % (args.n, need / 2**20, calibrated.MAX_MODULE_BYTES // 2**20))
     try:
-        seed = calibrated.make_seed(cfg, seed=args.seed, tol=args.tol)
+        seed = calibrated.make_seed(cfg, seed=args.seed)
         results = []
         for shape in shapes(args.n):
             mod = calibrated.build_calibrated(cfg, args.n, shape, seed)
             for name, func in _CHECKS:
-                rep = getattr(calibrated, func)(mod)
+                rep = getattr(calibrated, func)(mod, tol=args.tol)
                 rel = rep["relations"]
                 results.append((shape, name, rep["max_residual"], rep["pass"],
                                 max(rel, key=rel.get)))

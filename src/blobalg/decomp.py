@@ -198,7 +198,7 @@ def _delta_row(n, tabs, la, order):
             for mu in order]
 
 
-def delta_matrix(cfg, n, restrict=None):
+def delta_matrix(cfg, n):
     """Matrix of graded coloured-tableau counts, rows and columns in
     the canonical shape order.
 
@@ -210,19 +210,11 @@ def delta_matrix(cfg, n, restrict=None):
     pairs {c, c^-1} of their box contents.  That filter is exact: a
     tableau's residues are its shape's box contents, each perhaps
     inverted, so res(t) = R_mu forces the pair multisets of la and mu
-    to agree, and every other entry is zero.  ``restrict`` cuts the
-    matrix down to the given shapes.  Raises RuntimeError if the result
-    is not lower unitriangular with zero entries between distinct
-    shapes of equal k.
+    to agree, and every other entry is zero.  Raises RuntimeError if
+    the result is not lower unitriangular with zero entries between
+    distinct shapes of equal k.
     """
     order = shapes(n)
-    if restrict is not None:
-        wanted = set(restrict)
-        missing = wanted.difference(order)
-        if missing:
-            raise ValueError("shapes not in the poset: %s"
-                             % ", ".join(sorted(map(_label, missing))))
-        order = [s for s in order if s in wanted]
     tabs = walk_tables(cfg, n)
     rows = tuple(tuple(_delta_row(n, tabs, la, order)) for la in order)
     for i, la in enumerate(order):
@@ -301,10 +293,10 @@ def na_factorize(delta):
     return nmat, amat
 
 
-def decomposition_matrix(cfg, n, restrict=None):
+def decomposition_matrix(cfg, n):
     """Conjectural graded decomposition matrix: the N factor of the
     Delta-matrix (see decomposition_from_delta)."""
-    return decomposition_from_delta(delta_matrix(cfg, n, restrict=restrict))
+    return decomposition_from_delta(delta_matrix(cfg, n))
 
 
 def decomposition_from_delta(delta):

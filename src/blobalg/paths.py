@@ -50,7 +50,6 @@ __all__ = [
     "EmbeddedPath",
     "embed",
     "positions",
-    "width",
     "path_residues",
     "realize",
     "negate",
@@ -106,10 +105,6 @@ def positions(path):
     for se in path.steps:
         xs.append(xs[-1] + (1 if se else -1))
     return xs
-
-
-def width(path):
-    return sum(1 if se else -1 for se in path.steps)
 
 
 def path_residues(cfg, path):

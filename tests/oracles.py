@@ -15,7 +15,9 @@ oracles are the per-tableau rule, which compares a tableau's width
 with every tableau of its residue class through cstd, and the
 walk-by-walk tally, which visits every walk of every shape and keeps
 a bitmask of negative counts per class.  The norm oracle is the exact
-spectral norm.
+spectral norm.  The seminormal partner oracle applies the signed
+permutation to a tableau's entries and tests the result for
+standardness.
 """
 
 import heapq
@@ -34,15 +36,17 @@ from blobalg.paths import (
     residue_class_tableaux,
     tile_degree,
     walk_tables,
-    width,
 )
 from blobalg.tableaux import (
+    Tableau,
     _target_residues,
     cstd,
     enumerate_std,
+    is_standard,
     residue_seq,
     shapes,
     t_lambda,
+    weyl_act,
 )
 
 
@@ -196,11 +200,17 @@ def is_ladder_class(cfg, n, t):
     p = embed(cfg, n, t)
     if max_shape(cfg, n, p) != t.shape:
         return False
-    w = width(p)
+    w = _width(p)
     for u in residue_class_tableaux(cfg, n, t):
-        if width(embed(cfg, n, u)) > w:
+        if _width(embed(cfg, n, u)) > w:
             return False
     return True
+
+
+def _width(path):
+    """x(n) - x(0) of an embedded path."""
+    xs = positions(path)
+    return xs[-1] - xs[0]
 
 
 def simple_dim_lower_bounds_enum(cfg, n):
@@ -280,3 +290,12 @@ def spectral_norm(mat, tol):
     """Oracle for calibrated._norm: the exact spectral norm (one SVD),
     whatever the tolerance."""
     return float(np.linalg.norm(mat, 2))
+
+
+def seminormal_partner(n, t, i):
+    """Oracle for the partner rule of calibrated.build_calibrated: s_i t
+    by weyl_act on the entries, or None when that is not standard."""
+    moved = weyl_act(i, t.entries)
+    if is_standard(n, t.shape, moved):
+        return Tableau(t.shape, moved)
+    return None

@@ -27,7 +27,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
-from oracles import spectral_norm
+from oracles import seminormal_partner, spectral_norm
 
 TOL = 1e-8
 CHECKERS = (check_hecke_relations, check_tl_relations, check_jm_spectrum, blob_check)
@@ -103,6 +103,24 @@ def test_all_relations_hold_on_generic_config(cfg_generic):
                     assert rep["pass"], rep
                     worst = max(worst, rep["max_residual"])
     assert worst < TOL
+
+
+def test_pairs_are_the_standard_weyl_partners(cfg_generic):
+    # the off-diagonal support of T_i is the set of pairs {t, s_i t}
+    # with s_i t standard, on every shape up to n = 8
+    seed = make_seed(cfg_generic, 1)
+    for n in range(1, 9):
+        for sh in shapes(n):
+            m = build_calibrated(cfg_generic, n, sh, seed)
+            row = {t: r for r, t in enumerate(m.basis)}
+            for i, mat in enumerate([m.t0] + m.ts):
+                want = set()
+                for t in m.basis:
+                    other = seminormal_partner(n, t, i)
+                    if other is not None:
+                        want.add((row[other], row[t]))
+                off = mat - np.diag(np.diag(mat))
+                assert set(zip(*np.nonzero(off))) == want, (n, sh, i)
 
 
 def test_n1_module_is_boundary_only(cfg_generic):

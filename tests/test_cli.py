@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import blobalg.calibrated as calibrated
+import blobalg.cli as cli
 import blobalg.paths as paths
 import blobalg.tableaux as tableaux
+from blobalg import laurent
 from blobalg.calibrated import (
     MAX_MODULE_BYTES,
     build_calibrated,
@@ -17,6 +20,7 @@ from blobalg.calibrated import (
     module_bytes,
 )
 from blobalg.cli import _CHECKS, run
+from blobalg.decomp import simple_dim_lower_bounds, simple_graded_dims
 from blobalg.params import load_config, parse_config, validate_config
 from blobalg.tableaux import count_std, parse_shape, shapes
 
@@ -259,6 +263,58 @@ def test_bounds_json_flag(capsys):
     obj = json.loads(out)
     assert obj["conjectural"] is True
     assert all(r["lower_bound"] <= r["dim_at_1"] for r in obj["rows"])
+
+
+def _bounds_warnings(capsys, cfg, n):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc, out, _ = invoke(capsys, "bounds", "--config", str(CONFIGS / cfg),
+                            "--n", str(n))
+    assert rc == 0 and out
+    return [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("cfg", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_bounds_warns_nothing_on_shipped_configs(capsys, cfg):
+    for n in range(1, 9):
+        assert _bounds_warnings(capsys, cfg, n) == [], n
+
+
+def _spread(p):
+    # bar-symmetric, the same at v = 1, and -1 at exponents outside p
+    e = 1 + max(map(abs, p))
+    return laurent.add(p, {e: -1, -e: -1, e + 1: 1, -e - 1: 1})
+
+
+@pytest.mark.parametrize("what, broken", [
+    ("not bar-symmetric", lambda p, lo: laurent.add(p, {1: 1})),
+    ("a negative coefficient", lambda p, lo: _spread(p)),
+    ("below its ladder bound", lambda p, lo: {0: lo - 1}),
+])
+def test_bounds_warns_on_broken_simple_dims(capsys, monkeypatch, what, broken):
+    cfg, n, la = load_config(CONFIGS / "e7.json"), 6, parse_shape("(0,theta)")
+    lo = simple_dim_lower_bounds(cfg, n)[la]
+    assert lo > 1
+
+    def patched(cfg, n):
+        dims = simple_graded_dims(cfg, n)
+        dims[la] = broken(dims[la], lo)
+        return dims
+
+    monkeypatch.setattr(cli, "simple_graded_dims", patched)
+    seen = _bounds_warnings(capsys, "e7.json", n)
+    assert len(seen) == 1
+    assert seen[0].startswith("conjectural graded dimension of (0,theta): " + what)
+
+
+def test_calibrated_check_tol_is_only_the_residual_gate(capsys):
+    # seed 1 has a seminormal denominator below 1 at n = 6, which is no
+    # reason to call it non-generic when the residual gate is 1
+    rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                          str(CONFIGS / "generic.json"), "--n", "6",
+                          "--seed", "1", "--tol", "1")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1].endswith("against tol 1.0e+00: PASS")
 
 
 def test_calibrated_check_passes(capsys):

@@ -138,18 +138,6 @@ def test_equal_k_entries_vanish(cfg_e5_formal):
         assert la == mu or la.k != mu.k
 
 
-def test_restrict_matches_submatrix(cfg_e5_formal):
-    d = delta_matrix(cfg_e5_formal, 6)
-    blk = max(blocks(d), key=len)
-    direct = delta_matrix(cfg_e5_formal, 6, restrict=blk)
-    assert direct == d.submatrix(blk)
-
-
-def test_restrict_rejects_unknown_shape(cfg_e5_formal):
-    with pytest.raises(ValueError):
-        delta_matrix(cfg_e5_formal, 4, restrict=[Shape(3, "alpha1")])
-
-
 @pytest.mark.parametrize("entry, match", [
     (lambda i, j: {0: 1} if i == j else ({1: 1} if i < j else {}),
      "above the diagonal"),

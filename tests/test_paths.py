@@ -29,7 +29,6 @@ from blobalg.paths import (
     tiles,
     translate,
     walk_tables,
-    width,
     word_to_tableau,
 )
 from blobalg.params import MARKER_LABELS, load_config
@@ -395,14 +394,6 @@ def test_ladder_tableaux_match_class_rule(path):
 def test_ladder_tableaux_match_class_rule_on_random_configs(cfg):
     for n in range(1, 7):
         _ladders_match_class_rule(cfg, n)
-
-
-def test_width_is_step_sum(cfg_e7):
-    for n in (2, 5):
-        for t in all_tableaux(n):
-            p = embed(cfg_e7, n, t)
-            xs = positions(p)
-            assert width(p) == xs[-1] - xs[0]
 
 
 def test_similarity_closure_matches_residue_class(cfg_e7, cfg_e5_formal):
