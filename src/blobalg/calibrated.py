@@ -10,13 +10,23 @@ for a shape when one of its seminormal denominators falls below 1e-8.
 Relation checkers report one residual per relation and the largest of
 them per check, against a tolerance of their own (default 1e-8).
 
+In a calibrated module each of T_0, ..., T_{n-1} and T_0v has a
+diagonal and at most one off-diagonal entry per column, so they are
+stored as ``Seminormal`` (diagonal, partner index, off-diagonal
+coefficient), O(dim) each; T_n and X_1, ..., X_n are dense arrays.  A
+product with a Seminormal factor gathers and scales rows or columns in
+O(dim^2), never a dense matmul.  A relation's residual is summed into
+one dense array: a word of k Seminormal factors is scattered into it
+term by term, at most 2^k terms per row, and only words involving T_n,
+X_i or the blob products are multiplied out.
+
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
-Frobenius norm (O(dim^2)) is reported when it is already below the
-tolerance, and the spectral norm (an SVD) only otherwise.  Since the
-Frobenius norm bounds the spectral norm from above, every pass/fail
-decision is the one the spectral norm alone would give, and the
-relation that ``calibrated-check --format json`` names as
+Frobenius norm is reported when it is already below the tolerance, and
+the spectral norm (an SVD of the dense residual) only otherwise.  Since
+the Frobenius norm bounds the spectral norm from above, every
+pass/fail decision is the one the spectral norm alone would give, and
+the relation that ``calibrated-check --format json`` names as
 ``worst_relation`` is the one with the largest reported value.
 
 Everything here is double precision on purpose: the relations are
@@ -29,8 +39,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -42,6 +54,7 @@ __all__ = [
     "NumericSeed",
     "make_seed",
     "residue_value",
+    "Seminormal",
     "CalibratedModule",
     "MAX_MODULE_BYTES",
     "module_bytes",
@@ -223,17 +236,103 @@ def make_seed(cfg, seed=None):
     raise NonGenericSeedError("could not sample a well-separated seed")
 
 
+@dataclass(frozen=True, eq=False)
+class Seminormal:
+    """A dim x dim matrix with at most one off-diagonal entry per row and
+    per column: M[r, r] = diag[r] and M[r, partner[r]] = off[r].
+
+    partner is an involution and off is 0 on the rows it fixes (the rows
+    with no partner), so column c holds diag[c] and, at row partner[c],
+    off[partner[c]].  T_0 .. T_{n-1} are symmetric (off[r] =
+    off[partner[r]]); T_0v, a row scaling of T_0, is not.
+
+    A product with a dense array gathers and scales its rows or columns
+    in O(dim^2) and is dense, as is the product of two Seminormal
+    matrices; ``ndarray @ Seminormal`` dispatches to __rmatmul__.  Only
+    np.asarray forms the dense matrix itself.
+    """
+
+    diag: np.ndarray
+    partner: np.ndarray
+    off: np.ndarray
+
+    __array_ufunc__ = None  # ndarray operators defer to this class
+
+    @property
+    def shape(self):
+        return (len(self.diag),) * 2
+
+    @property
+    def nbytes(self):
+        return self.diag.nbytes + self.partner.nbytes + self.off.nbytes
+
+    @cached_property
+    def terms(self):
+        """(cols, vals): row r holds vals[r, 0] at column cols[r, 0] = r
+        and vals[r, 1] at column cols[r, 1] = partner[r]."""
+        dim = len(self.diag)
+        cols = np.empty((dim, 2), dtype=np.intp)
+        vals = np.empty((dim, 2), dtype=complex)
+        cols[:, 0], cols[:, 1] = np.arange(dim), self.partner
+        vals[:, 0], vals[:, 1] = self.diag, self.off
+        return cols, vals
+
+    def shift(self, c):
+        """self + c * identity."""
+        return Seminormal(self.diag + c, self.partner, self.off)
+
+    def __matmul__(self, other):
+        if isinstance(other, Seminormal):
+            return _scatter(np.zeros(self.shape, complex), 1, [self, other])
+        out = other[self.partner] * self.off[:, None]
+        out += self.diag[:, None] * other
+        return out
+
+    def __rmatmul__(self, other):
+        p = self.partner
+        out = other[:, p] * self.off[p]
+        out += other * self.diag
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        rows = np.arange(len(self.diag))
+        out = np.zeros(self.shape, complex)
+        out[rows, rows] = self.diag
+        paired = self.partner != rows
+        out[rows[paired], self.partner[paired]] = self.off[paired]
+        return out if dtype is None else out.astype(dtype)
+
+
+def _expand(word):
+    """A product of Seminormal factors as row terms: row r of the product
+    is the sum over j of vals[r, j] at column cols[r, j].  Each factor
+    doubles the terms (its diagonal and its partner entry), so a row has
+    2^len(word) of them, repeated columns not yet summed."""
+    cols, vals = word[0].terms
+    for f in word[1:]:
+        fcols, fvals = f.terms
+        cols, vals = fcols[cols], vals[..., None] * fvals[cols]
+    return cols.reshape(len(cols), -1), vals.reshape(len(cols), -1)
+
+
+def _scatter(res, coef, word):
+    """Add coef times the product of a Seminormal word into dense res."""
+    cols, vals = _expand(word)
+    np.add.at(res, (np.arange(len(cols))[:, None], cols), coef * vals)
+    return res
+
+
 @dataclass
 class CalibratedModule:
     shape: object
     n: int
     basis: list
     gamma: list  # gamma[row][i-1] = value of res_i
-    t0: np.ndarray
-    ts: list  # T_1 .. T_{n-1}
-    t0v: np.ndarray
+    t0: Seminormal
+    ts: list  # T_1 .. T_{n-1}, each Seminormal
+    t0v: Seminormal
     tn: np.ndarray
-    xs: list  # X_1 .. X_n
+    xs: list  # X_1 .. X_n, dense
     seed: NumericSeed
 
     @property
@@ -254,19 +353,21 @@ class CalibratedModule:
 def module_bytes(n):
     """Peak bytes of a calibrated check at level n, from tableau counts
     alone: 3n + 14 complex dim x dim arrays for the largest module, plus
-    1 MiB for tableaux and reports.  The module stores 2n + 2 (T_0 ..
-    T_{n-1}, T_0v, T_n, X_1 .. X_n), the n + 2 idempotents the TL and
-    blob checks once held (now two) are kept, and one relation's
-    products and norm add at most 10.  Whole runs on the generic
-    configuration peaked at 27.4, 29.0, 30.5, 33.2 and 36.1 arrays at
-    n = 5 .. 9 (tracemalloc), before the idempotents were dropped.
+    1 MiB for tableaux and reports.  The formula was fitted when the
+    module stored 2n + 2 dense arrays (T_0 .. T_{n-1}, T_0v, T_n, X_1 ..
+    X_n), the TL and blob checks held n + 2 idempotents and one
+    relation's products and norm added at most 10; whole runs on the
+    generic configuration peaked at 27.4, 29.0, 30.5, 33.2 and 36.1
+    arrays at n = 5 .. 9 (tracemalloc).  It is kept as it was, so it
+    over-counts the two idempotents now held and the n + 1 generators
+    T_0 .. T_{n-1}, T_0v, which are Seminormal, O(dim) each.
     """
     dim = max(count_std(n, s) for s in shapes(n))
     return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
 def build_calibrated(cfg, n, shape, seed):
-    """Assemble the generator matrices on the standard tableaux basis.
+    """Assemble the generators on the standard tableaux basis.
 
     Every T_i, T_0 included, follows one seminormal rule (Ram,
     "Calibrated representations of affine Hecke algebras", 2004): the
@@ -276,7 +377,12 @@ def build_calibrated(cfg, n, shape, seed):
     sqrt(-(a - p)(a + 1/p)), p the quadratic parameter of T_i.  On
     negated sets N, s_i (i >= 1) moves t to N ^ {i, i+1} exactly when
     one of i, i + 1 lies in N, and s_0 moves t to N ^ {1} when that set
-    is in the basis.  T_0v, T_n and X_1 .. X_n are derived by products.
+    is in the basis.  So T_0 .. T_{n-1} are Seminormal: the diagonal,
+    the partner s_i t and the pair coefficient.  T_0v = diag(X_1)(T_0 +
+    1/q0 - q0) is the same pairing with its rows scaled.  T_n = W T_0v
+    W^-1 (W = T_{n-1} .. T_1, T_i^-1 = T_i + 1/q - q) and X_{i+1} = T_i
+    X_i T_i are dense: the X_i by Seminormal x dense products in
+    O(dim^2), T_n by dense products of the densified T_i (see below).
 
     Raises NonGenericSeedError when a denominator is below
     _DENOM_FLOOR, naming the offending generator and tableau; T_1 ..
@@ -292,10 +398,12 @@ def build_calibrated(cfg, n, shape, seed):
     gamma = [[values[r] for r in seq] for seq in seqs]
     dim = len(basis)
 
-    mats = []
+    gens = []
     for i in (*range(1, n), 0):
         par = q if i else q0
-        mat = np.zeros((dim, dim), dtype=complex)
+        diag = np.empty(dim, dtype=complex)
+        partner = np.arange(dim)
+        off = np.zeros(dim, dtype=complex)
         for col, (g, s) in enumerate(zip(gamma, negs)):
             if i:
                 num, denom = big_q, 1 - g[i - 1] / g[i]
@@ -309,15 +417,16 @@ def build_calibrated(cfg, n, shape, seed):
                     "non-generic seed: T_%d denominator ~ 0 on %s"
                     % (i, basis[col].entries))
             a = num / denom
-            mat[col, col] = a
+            diag[col] = a
             row = index.get(other)
             # evaluate the pair coefficient once, from the lower column:
             # both radicands agree analytically, but evaluating them
             # independently can pick opposite branches across the cut
             if row is not None and row > col:
-                mat[row, col] = mat[col, row] = cmath.sqrt(-(a - par) * (a + 1 / par))
-        mats.append(mat)
-    *ts, t0 = mats
+                partner[col], partner[row] = row, col
+                off[col] = off[row] = cmath.sqrt(-(a - par) * (a + 1 / par))
+        gens.append(Seminormal(diag, partner, off))
+    *ts, t0 = gens
 
     # T_0v has diagonal (Qn + Q0*g)/(1 - g^2) and off-diagonal
     # g*sqrt(-(b - qn)(b + 1/qn)), but the branch of that root is not
@@ -325,12 +434,17 @@ def build_calibrated(cfg, n, shape, seed):
     # by X_1 = T_0v T_0 acting diagonally.  Deriving T_0v from the exact
     # diagonal of X_1 selects the coherent branch automatically (its
     # diagonal provably reduces to the closed form above).
-    eye = np.eye(dim, dtype=complex)
-    x1 = np.diag(np.array([gamma[r][0] for r in range(dim)], dtype=complex))
-    t0v = x1 @ (t0 + (1 / q0 - q0) * eye)
+    g1 = np.array([g[0] for g in gamma], dtype=complex)
+    t0v = Seminormal(g1 * (t0.diag + (1 / q0 - q0)), t0.partner, g1 * t0.off)
 
-    tn = t0v
-    for mat in ts:  # T_1 first, T_{n-1} outermost
+    # T_n alone is built by dense BLAS products.  Seminormal products give
+    # an equally accurate T_n (both within ~1e-15 relative of one built
+    # in extended precision) but round differently, and relations on T_n
+    # that sit at the rounding floor of the gate (generic n = 8, seeds
+    # 114 and 207) change status with that rounding.
+    eye = np.eye(dim, dtype=complex)
+    tn = np.asarray(t0v)
+    for mat in map(np.asarray, ts):  # T_1 first, T_{n-1} outermost
         tn = mat @ tn @ (mat + (1 / q - q) * eye)
 
     xs = [t0v @ t0]
@@ -355,6 +469,38 @@ def _norm(mat, tol):
     return float(np.linalg.norm(mat, 2))
 
 
+def _shift(mat, c):
+    """mat + c * identity, for a Seminormal or a dense matrix."""
+    if isinstance(mat, Seminormal):
+        return mat.shift(c)
+    out = mat.copy()
+    out.flat[::len(out) + 1] += c
+    return out
+
+
+def _residual(terms, tol):
+    """Reported residual (as _norm) of sum(coef * product of word) over
+    the (coef, word) terms, each word a list of factors.
+
+    A word of Seminormal factors only is scattered into the dense
+    residual, 2^k terms per row for k factors, without a product; any
+    other word is multiplied out left to right, by the O(dim^2)
+    products wherever one side is Seminormal.
+    """
+    dim = terms[0][1][0].shape[0]
+    res = np.zeros((dim, dim), dtype=complex)
+    for coef, word in terms:
+        if all(isinstance(f, Seminormal) for f in word):
+            _scatter(res, coef, word)
+        else:
+            res += coef * reduce(operator.matmul, word)
+    return _norm(res, tol)
+
+
+def _commutator(a, b):
+    return [(1, [a, b]), (-1, [b, a])]
+
+
 def _report(relations, tol):
     worst = max(relations.values()) if relations else 0.0
     return {
@@ -367,54 +513,55 @@ def _report(relations, tol):
 
 def check_hecke_relations(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals."""
-    eye = np.eye(m.dim, dtype=complex)
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
-        rel["quadratic %s" % name] = _norm((mat - par * eye) @ (mat + eye / par), tol)
+        rel["quadratic %s" % name] = _residual(
+            [(1, [_shift(mat, -par), _shift(mat, 1 / par)])], tol)
 
     *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
     for i, (na, a, _) in enumerate(chain):
         for nb, b, _ in chain[i + 2:]:
-            rel["commute %s %s" % (na, nb)] = _norm(a @ b - b @ a, tol)
+            rel["commute %s %s" % (na, nb)] = _residual(_commutator(a, b), tol)
     for name, b, _ in chain[2:-1]:
-        rel["commute T0v %s" % name] = _norm(t0v @ b - b @ t0v, tol)
+        rel["commute T0v %s" % name] = _residual(_commutator(t0v, b), tol)
 
     for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
-        rel["braid3 %s %s" % (na, nb)] = _norm(a @ b @ a - b @ a @ b, tol)
+        rel["braid3 %s %s" % (na, nb)] = _residual(
+            [(1, [a, b, a]), (-1, [b, a, b])], tol)
     if m.ts:
         for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
-            rel["braid4 %s %s" % (na, nb)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
+            rel["braid4 %s %s" % (na, nb)] = _residual(
+                [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
 
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            a, b = m.xs[i], m.xs[j]
-            rel["commute X%d X%d" % (i + 1, j + 1)] = _norm(a @ b - b @ a, tol)
+            rel["commute X%d X%d" % (i + 1, j + 1)] = _residual(
+                _commutator(m.xs[i], m.xs[j]), tol)
     return _report(rel, tol)
 
 
 def check_tl_relations(m, tol=DEFAULT_TOL):
     """Square and smash relations for the e generators, formed one at a
-    time from generators() as in blob_check, e_0v last: only e = e_i and
-    prev = e_(i-1) are held."""
+    time from generators() as in blob_check, e_0v last."""
     q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
-    eye = np.eye(m.dim, dtype=complex)
     rel = {}
     for i, (name, mat, par) in enumerate(m.generators()):
-        e = mat - par * eye
-        rel["square e%s" % ("0v" if name == "T0v" else i)] = _norm(
-            e @ e + _bracket(par) * e, tol)
+        e = _shift(mat, -par)
+        rel["square e%s" % ("0v" if name == "T0v" else i)] = _residual(
+            [(1, [e, e]), (_bracket(par), [e])], tol)
         if i == 1 < m.n:
-            rel["smash e1 e0 e1"] = _norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
+            rel["smash e1 e0 e1"] = _residual(
+                [(1, [e, prev, e]), (-_bracket(q0 / q), [e])], tol)
         if 2 <= i < m.n:
-            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _norm(prev @ e @ prev - prev, tol)
-            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _norm(e @ prev @ e - e, tol)
+            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _residual(
+                [(1, [prev, e, prev]), (-1, [prev])], tol)
+            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _residual(
+                [(1, [e, prev, e]), (-1, [e])], tol)
         if i == m.n >= 2:
-            rel["smash e%d en e%d" % (i - 1, i - 1)] = _norm(
-                prev @ e @ prev - _bracket(qn / q) * prev, tol
-            )
+            rel["smash e%d en e%d" % (i - 1, i - 1)] = _residual(
+                [(1, [prev, e, prev]), (-_bracket(qn / q), [prev])], tol)
         prev = e
-    del prev, e
     kinds = ("square", "smash", "tl")    # the report order
     return _report(dict(sorted(
         rel.items(), key=lambda kv: kinds.index(kv[0].split()[0]))), tol)
@@ -432,24 +579,24 @@ def check_jm_spectrum(m, tol=DEFAULT_TOL):
 
 def blob_check(m, tol=DEFAULT_TOL):
     """Alternating-product relations: the zero shape carries the kappa
-    relations, every other shape is annihilated by both products.  The
-    idempotents are formed one at a time, so only the two running
-    products I0 (even e_i) and I1 (odd e_i) are held beside the module."""
-    eye = np.eye(m.dim, dtype=complex)
-    prods = [eye, eye]
+    relations, every other shape is annihilated by both products.  I0
+    is the product of the even e_i, I1 of the odd e_i, i <= n."""
+    words = [[], []]
     for i, (_, mat, par) in enumerate(m.generators()[:m.n + 1]):
-        prods[i % 2] = prods[i % 2] @ (mat - par * eye)
-    i0, i1 = prods
+        words[i % 2].append(_shift(mat, -par))
     rel = {}
     if m.shape.k == 0:
+        i0, i1 = (reduce(operator.matmul, w) for w in words)
         th, q = m.seed.theta_value, m.seed.q
         if m.n % 2 == 0:
             kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
         else:
             kappa = _bracket(th) - _bracket(m.seed.alpha2)
-        rel["I0 I1 I0 = kappa I0"] = _norm(i0 @ i1 @ i0 - kappa * i0, tol)
-        rel["I1 I0 I1 = kappa I1"] = _norm(i1 @ i0 @ i1 - kappa * i1, tol)
+        rel["I0 I1 I0 = kappa I0"] = _residual(
+            [(1, [i0, i1, i0]), (-kappa, [i0])], tol)
+        rel["I1 I0 I1 = kappa I1"] = _residual(
+            [(1, [i1, i0, i1]), (-kappa, [i1])], tol)
     else:
-        rel["I0 = 0"] = _norm(i0, tol)
-        rel["I1 = 0"] = _norm(i1, tol)
+        rel["I0 = 0"] = _residual([(1, words[0])], tol)
+        rel["I1 = 0"] = _residual([(1, words[1])], tol)
     return _report(rel, tol)

@@ -3,6 +3,7 @@ and the floating-point relation checks, with TSV and JSON output."""
 
 import argparse
 import json
+import math
 import sys
 import warnings
 
@@ -338,6 +339,13 @@ def _positive_int(text):
     return n
 
 
+def _positive_float(text):
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return x
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="blobalg",
@@ -363,7 +371,7 @@ def _parser():
         if seed:
             sp.add_argument("--seed", type=int, default=0,
                             help="random seed for the numeric parameters")
-            sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+            sp.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL,
                             help="residual tolerance (default %g)" % DEFAULT_TOL)
         if jobs:
             sp.add_argument("--jobs", type=_positive_int, default=1,

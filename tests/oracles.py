@@ -17,16 +17,29 @@ walk-by-walk tally, which visits every walk of every shape and keeps
 a bitmask of negative counts per class.  The norm oracle is the exact
 spectral norm.  The seminormal partner oracle applies the signed
 permutation to a tableau's entries and tests the result for
-standardness.
+standardness.  The calibrated module oracles are the dense builder,
+which stores every generator as a dim x dim array, and the four
+relation checkers that evaluate every relation by dense matrix
+products.
 """
 
+import cmath
 import heapq
 
 import numpy as np
 
 from blobalg import laurent
+from blobalg.calibrated import (
+    _DENOM_FLOOR,
+    CalibratedModule,
+    NonGenericSeedError,
+    _bracket,
+    _norm,
+    _report,
+    residue_value,
+)
 from blobalg.decomp import GradedMatrix
-from blobalg.params import ALPHA_LABELS, MARKER_LABELS
+from blobalg.params import ALPHA_LABELS, DEFAULT_TOL, MARKER_LABELS
 from blobalg.paths import (
     EmbeddedPath,
     Tile,
@@ -299,3 +312,172 @@ def seminormal_partner(n, t, i):
     if is_standard(n, t.shape, moved):
         return Tableau(t.shape, moved)
     return None
+
+
+# -- dense calibrated modules -------------------------------------------
+# Oracles for calibrated.build_calibrated and its four checkers: every
+# generator a dense array, every relation a product of dense arrays.
+
+def build_calibrated_dense(cfg, n, shape, seed):
+    """Assemble the generator matrices on the standard tableaux basis.
+
+    Every T_i, T_0 included, follows one seminormal rule (Ram,
+    "Calibrated representations of affine Hecke algebras", 2004): the
+    column of a tableau t has the diagonal entry a = num / denom read
+    off t's residue values, and where s_i t is standard the pair
+    {t, s_i t} carries the symmetric coefficient
+    sqrt(-(a - p)(a + 1/p)), p the quadratic parameter of T_i.  On
+    negated sets N, s_i (i >= 1) moves t to N ^ {i, i+1} exactly when
+    one of i, i + 1 lies in N, and s_0 moves t to N ^ {1} when that set
+    is in the basis.  T_0v, T_n and X_1 .. X_n are derived by products.
+
+    Raises NonGenericSeedError when a denominator is below
+    _DENOM_FLOOR, naming the offending generator and tableau; T_1 ..
+    T_{n-1} are built before T_0.
+    """
+    q, q0, qn = seed.q, seed.q0, seed.qn
+    big_q, big_q0, big_qn = q - 1 / q, q0 - 1 / q0, qn - 1 / qn
+    basis = list(enumerate_std(n, shape))
+    negs = [t.negated_set() for t in basis]
+    index = {s: r for r, s in enumerate(negs)}
+    seqs = [residue_seq(cfg, n, t) for t in basis]
+    values = {r: residue_value(cfg, seed, r) for r in set().union(*seqs)}
+    gamma = [[values[r] for r in seq] for seq in seqs]
+    dim = len(basis)
+
+    mats = []
+    for i in (*range(1, n), 0):
+        par = q if i else q0
+        mat = np.zeros((dim, dim), dtype=complex)
+        for col, (g, s) in enumerate(zip(gamma, negs)):
+            if i:
+                num, denom = big_q, 1 - g[i - 1] / g[i]
+                other = s ^ {i, i + 1} if (i in s) != (i + 1 in s) else None
+            else:
+                h = 1 / g[0]
+                num, denom = big_q0 + big_qn * h, 1 - h * h
+                other = s ^ {1}
+            if abs(denom) < _DENOM_FLOOR:
+                raise NonGenericSeedError(
+                    "non-generic seed: T_%d denominator ~ 0 on %s"
+                    % (i, basis[col].entries))
+            a = num / denom
+            mat[col, col] = a
+            row = index.get(other)
+            # evaluate the pair coefficient once, from the lower column:
+            # both radicands agree analytically, but evaluating them
+            # independently can pick opposite branches across the cut
+            if row is not None and row > col:
+                mat[row, col] = mat[col, row] = cmath.sqrt(-(a - par) * (a + 1 / par))
+        mats.append(mat)
+    *ts, t0 = mats
+
+    # T_0v has diagonal (Qn + Q0*g)/(1 - g^2) and off-diagonal
+    # g*sqrt(-(b - qn)(b + 1/qn)), but the branch of that root is not
+    # free: the product of the T_0v and T_0 pair coefficients is pinned
+    # by X_1 = T_0v T_0 acting diagonally.  Deriving T_0v from the exact
+    # diagonal of X_1 selects the coherent branch automatically (its
+    # diagonal provably reduces to the closed form above).
+    eye = np.eye(dim, dtype=complex)
+    x1 = np.diag(np.array([gamma[r][0] for r in range(dim)], dtype=complex))
+    t0v = x1 @ (t0 + (1 / q0 - q0) * eye)
+
+    tn = t0v
+    for mat in ts:  # T_1 first, T_{n-1} outermost
+        tn = mat @ tn @ (mat + (1 / q - q) * eye)
+
+    xs = [t0v @ t0]
+    for mat in ts:
+        xs.append(mat @ xs[-1] @ mat)
+
+    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs, seed)
+
+
+def check_hecke_relations_dense(m, tol=DEFAULT_TOL):
+    """Quadratic, commuting, braid, and X-commutation residuals."""
+    eye = np.eye(m.dim, dtype=complex)
+    rel = {}
+    gens = m.generators()
+    for name, mat, par in gens:
+        rel["quadratic %s" % name] = _norm((mat - par * eye) @ (mat + eye / par), tol)
+
+    *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
+    for i, (na, a, _) in enumerate(chain):
+        for nb, b, _ in chain[i + 2:]:
+            rel["commute %s %s" % (na, nb)] = _norm(a @ b - b @ a, tol)
+    for name, b, _ in chain[2:-1]:
+        rel["commute T0v %s" % name] = _norm(t0v @ b - b @ t0v, tol)
+
+    for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
+        rel["braid3 %s %s" % (na, nb)] = _norm(a @ b @ a - b @ a @ b, tol)
+    if m.ts:
+        for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
+            rel["braid4 %s %s" % (na, nb)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
+
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            a, b = m.xs[i], m.xs[j]
+            rel["commute X%d X%d" % (i + 1, j + 1)] = _norm(a @ b - b @ a, tol)
+    return _report(rel, tol)
+
+
+def check_tl_relations_dense(m, tol=DEFAULT_TOL):
+    """Square and smash relations for the e generators, formed one at a
+    time from generators() as in blob_check, e_0v last: only e = e_i and
+    prev = e_(i-1) are held."""
+    q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
+    eye = np.eye(m.dim, dtype=complex)
+    rel = {}
+    for i, (name, mat, par) in enumerate(m.generators()):
+        e = mat - par * eye
+        rel["square e%s" % ("0v" if name == "T0v" else i)] = _norm(
+            e @ e + _bracket(par) * e, tol)
+        if i == 1 < m.n:
+            rel["smash e1 e0 e1"] = _norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
+        if 2 <= i < m.n:
+            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _norm(prev @ e @ prev - prev, tol)
+            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _norm(e @ prev @ e - e, tol)
+        if i == m.n >= 2:
+            rel["smash e%d en e%d" % (i - 1, i - 1)] = _norm(
+                prev @ e @ prev - _bracket(qn / q) * prev, tol
+            )
+        prev = e
+    del prev, e
+    kinds = ("square", "smash", "tl")    # the report order
+    return _report(dict(sorted(
+        rel.items(), key=lambda kv: kinds.index(kv[0].split()[0]))), tol)
+
+
+def check_jm_spectrum_dense(m, tol=DEFAULT_TOL):
+    """X_i must be diagonal with the residue values on the diagonal."""
+    rel = {}
+    for i, x in enumerate(m.xs, start=1):
+        expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
+        rel["X%d diagonal" % i] = float(np.max(np.abs(np.diag(x) - expected)))
+        rel["X%d off-diagonal" % i] = _norm(x - np.diag(np.diag(x)), tol)
+    return _report(rel, tol)
+
+
+def blob_check_dense(m, tol=DEFAULT_TOL):
+    """Alternating-product relations: the zero shape carries the kappa
+    relations, every other shape is annihilated by both products.  The
+    idempotents are formed one at a time, so only the two running
+    products I0 (even e_i) and I1 (odd e_i) are held beside the module."""
+    eye = np.eye(m.dim, dtype=complex)
+    prods = [eye, eye]
+    for i, (_, mat, par) in enumerate(m.generators()[:m.n + 1]):
+        prods[i % 2] = prods[i % 2] @ (mat - par * eye)
+    i0, i1 = prods
+    rel = {}
+    if m.shape.k == 0:
+        th, q = m.seed.theta_value, m.seed.q
+        if m.n % 2 == 0:
+            kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
+        else:
+            kappa = _bracket(th) - _bracket(m.seed.alpha2)
+        rel["I0 I1 I0 = kappa I0"] = _norm(i0 @ i1 @ i0 - kappa * i0, tol)
+        rel["I1 I0 I1 = kappa I1"] = _norm(i1 @ i0 @ i1 - kappa * i1, tol)
+    else:
+        rel["I0 = 0"] = _norm(i0, tol)
+        rel["I1 = 0"] = _norm(i1, tol)
+    return _report(rel, tol)

@@ -113,7 +113,7 @@ def test_pairs_are_the_standard_weyl_partners(cfg_generic):
         for sh in shapes(n):
             m = build_calibrated(cfg_generic, n, sh, seed)
             row = {t: r for r, t in enumerate(m.basis)}
-            for i, mat in enumerate([m.t0] + m.ts):
+            for i, mat in enumerate(np.asarray(g) for g in [m.t0] + m.ts):
                 want = set()
                 for t in m.basis:
                     other = seminormal_partner(n, t, i)
@@ -201,8 +201,8 @@ def test_e_zero_columns_match_eigenvalue_conditions(cfg_generic):
         for sh in shapes(n):
             m = build_calibrated(cfg_generic, n, sh, seed)
             eye = np.eye(m.dim)
-            e0 = _column_norms(m.t0 - seed.q0 * eye)
-            e0v = _column_norms(m.t0v - seed.qn * eye)
+            e0 = _column_norms(np.asarray(m.t0) - seed.q0 * eye)
+            e0v = _column_norms(np.asarray(m.t0v) - seed.qn * eye)
             for row in range(m.dim):
                 g1 = m.gamma[row][0]
                 hits0 = min(abs(g1 - seed.alpha1), abs(g1 - seed.alpha2))
@@ -210,7 +210,7 @@ def test_e_zero_columns_match_eigenvalue_conditions(cfg_generic):
                 assert (e0[row] < 1e-6) == (hits0 < 1e-6), (n, sh, row)
                 assert (e0v[row] < 1e-6) == (hits0v < 1e-6), (n, sh, row)
             for i, t in enumerate(m.ts, start=1):
-                ei = _column_norms(t - q * eye)
+                ei = _column_norms(np.asarray(t) - q * eye)
                 for row in range(m.dim):
                     # e_i v_t = 0 exactly when gamma_{i+1} = q^2 gamma_i
                     ratio = m.gamma[row][i] / m.gamma[row][i - 1]

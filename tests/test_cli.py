@@ -317,6 +317,16 @@ def test_calibrated_check_tol_is_only_the_residual_gate(capsys):
     assert out.splitlines()[-1].endswith("against tol 1.0e+00: PASS")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_calibrated_check_tol_must_be_positive_finite(capsys, tol):
+    rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                          str(CONFIGS / "generic.json"), "--n", "2",
+                          "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert "--tol" in err and "must be a positive finite number" in err
+
+
 def test_calibrated_check_passes(capsys):
     rc, out, _ = invoke(capsys, "calibrated-check", "--config",
                         str(CONFIGS / "generic.json"), "--n", "3",

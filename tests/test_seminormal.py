@@ -1,0 +1,219 @@
+"""The structured seminormal generators against dense numpy, and the
+calibrated modules and checks against the dense oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blobalg.calibrated as calibrated
+from blobalg.calibrated import (
+    NonGenericSeedError,
+    Seminormal,
+    blob_check,
+    build_calibrated,
+    check_hecke_relations,
+    check_jm_spectrum,
+    check_tl_relations,
+    make_seed,
+)
+from blobalg.tableaux import shapes
+
+from conftest import CONFIG_FACTORIES, valid_configs
+from oracles import (
+    blob_check_dense,
+    build_calibrated_dense,
+    check_hecke_relations_dense,
+    check_jm_spectrum_dense,
+    check_tl_relations_dense,
+)
+
+CHECKS = (
+    ("hecke", check_hecke_relations, check_hecke_relations_dense),
+    ("tl", check_tl_relations, check_tl_relations_dense),
+    ("jm", check_jm_spectrum, check_jm_spectrum_dense),
+    ("blob", blob_check, blob_check_dense),
+)
+
+
+def _close(got, want, rel):
+    got = np.asarray(got)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+def _no_array(self, *args, **kwargs):
+    raise AssertionError("Seminormal densified")
+
+
+# -- the structured type -------------------------------------------------
+
+
+def _random_seminormal(rng, dim, symmetric):
+    """Random diagonal and pairing; about a third of the rows unpaired.
+    Without symmetric the two entries of a pair are independent, as in
+    the row-scaled T_0v."""
+    def cplx(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    partner = np.arange(dim)
+    order = rng.permutation(dim)
+    pairs = dim // 3
+    a, b = order[:pairs], order[pairs:2 * pairs]
+    partner[a], partner[b] = b, a
+    off = cplx(dim)
+    off[partner == np.arange(dim)] = 0
+    if symmetric:
+        off[b] = off[a]
+    return Seminormal(cplx(dim), partner, off)
+
+
+def _dense(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 33])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_seminormal_products_match_dense(dim, symmetric, monkeypatch):
+    rng = np.random.default_rng(dim)
+    s = _random_seminormal(rng, dim, symmetric)
+    t = _random_seminormal(rng, dim, not symmetric)
+    d = _dense(rng, dim)
+    ds, dt = np.asarray(s), np.asarray(t)
+    assert np.count_nonzero(ds - np.diag(np.diag(ds))) == np.count_nonzero(s.off)
+    assert s.shape == (dim, dim)
+    assert s.nbytes == s.diag.nbytes + s.partner.nbytes + s.off.nbytes
+    r = d.real  # a real operand takes the complex result type
+    want = {"s@d": ds @ d, "d@s": d @ ds, "s@r": ds @ r, "r@s": r @ ds,
+            "s@t": ds @ dt, "shift": ds + (0.5 - 2j) * np.eye(dim)}
+    monkeypatch.setattr(Seminormal, "__array__", _no_array)
+    got = {"s@d": s @ d, "d@s": d @ s, "s@r": s @ r, "r@s": r @ s,
+           "s@t": s @ t, "shift": s.shift(0.5 - 2j)}
+    monkeypatch.undo()
+    assert isinstance(got["shift"], Seminormal)
+    assert all(type(got[k]) is np.ndarray for k in got if k != "shift")
+    for key in want:
+        _close(got[key], want[key], 1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 24])
+def test_residual_matches_dense_norms(dim, monkeypatch):
+    rng = np.random.default_rng(100 + dim)
+    gens = [_random_seminormal(rng, dim, k % 2 == 0) for k in range(4)]
+    d = _dense(rng, dim)
+    a, b, c, v = gens
+    cases = [
+        [(1, [a])],
+        [(1, [a, b]), (-1, [b, a])],
+        [(1, [a, b, a]), (-1, [b, a, b]), (0.3j, [c])],
+        [(1, [a, b, c, v]), (-2.5, [v, c, b, a]), (1, [v, v])],
+        [(1, [d, a]), (-1, [a, d])],                # any dense factor
+        [(1, [a, b, d, c]), (0.7, [a, v]), (-1, [d])],
+    ]
+    wants = []
+    for terms in cases:
+        words = [[np.asarray(f) for f in word] for _, word in terms]
+        res = sum(coef * np.linalg.multi_dot(word + [np.eye(dim)])
+                  for (coef, _), word in zip(terms, words))
+        # the size of the terms, for residuals that cancel to ~0
+        scale = sum(abs(coef) * math.prod(np.linalg.norm(f) for f in word)
+                    for (coef, _), word in zip(terms, words))
+        wants.append((np.linalg.norm(res), np.linalg.norm(res, 2), scale))
+    monkeypatch.setattr(Seminormal, "__array__", _no_array)
+    for terms, (frobenius, spectral, scale) in zip(cases, wants):
+        # tol = inf keeps the Frobenius bound, tol = 0 takes the spectral norm
+        for tol, want in ((math.inf, frobenius), (0.0, spectral)):
+            assert math.isclose(calibrated._residual(terms, tol), want,
+                                rel_tol=1e-13, abs_tol=1e-13 * scale)
+
+
+def test_checks_never_densify(cfg_generic, monkeypatch):
+    seed = make_seed(cfg_generic, 1)
+    modules = [build_calibrated(cfg_generic, n, sh, seed)
+               for n in range(1, 7) for sh in shapes(n)]
+    monkeypatch.setattr(Seminormal, "__array__", _no_array)
+    for m in modules:
+        for _, check, _ in CHECKS:
+            check(m)
+    # every relation through the dense fallback densifies nothing either
+    for m in modules[:20]:
+        for _, check, _ in CHECKS:
+            check(m, tol=0.0)
+
+
+# -- differential tests against the dense oracle ---------------------------
+
+
+def _structured_only(check, name, n):
+    """Whether every factor of the relation is Seminormal: no T_n, e_n,
+    X_i or blob product."""
+    tokens = set(name.split())
+    return (check in ("hecke", "tl")
+            and not tokens & {"Tn", "en", "e%d" % n}
+            and not any(t.startswith("X") for t in tokens))
+
+
+def _built(build, cfg, n, sh, seed):
+    try:
+        return build(cfg, n, sh, seed)
+    except ValueError as exc:  # NonGenericSeedError among them
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _compare(cfg, n, seed, noise_floor=math.inf):
+    """Modules and reports of every shape against the dense oracle.
+
+    A module whose oracle residuals reach noise_floor sits at the
+    rounding floor: generators of norm up to 6e3 amplify rounding, so
+    there T_0v, T_n and X_i are compared within 1e-9 relative instead
+    of 1e-11, and residuals are not compared.  Pass flags are compared
+    for every check whose oracle max_residual lies outside
+    [tol/4, 4 tol]; inside that band two evaluation orders of one
+    relation may round to opposite sides of the gate (1.87e-8 against
+    1.31e-8 on one random configuration).
+    """
+    for sh in shapes(n):
+        m = _built(build_calibrated, cfg, n, sh, seed)
+        d = _built(build_calibrated_dense, cfg, n, sh, seed)
+        if isinstance(d, str):
+            assert m == d
+            continue
+        reports = [(kind, check(m), oracle(d)) for kind, check, oracle in CHECKS]
+        noisy = max(want["max_residual"] for _, _, want in reports) >= noise_floor
+        for got, want in zip([m.t0] + m.ts, [d.t0] + d.ts):
+            assert np.asarray(got).tobytes() == want.tobytes()
+        for got, want in zip([m.t0v, m.tn] + m.xs, [d.t0v, d.tn] + d.xs):
+            _close(got, want, 1e-9 if noisy else 1e-11)
+        for kind, got, want in reports:
+            assert list(got["relations"]) == list(want["relations"])
+            tol = want["tol"]
+            if not tol / 4 <= want["max_residual"] <= 4 * tol:
+                assert got["pass"] == want["pass"], (n, sh, kind)
+            if noisy:
+                continue
+            for name, value in got["relations"].items():
+                slack = 1e-12 if _structured_only(kind, name, n) else 1e-9
+                assert abs(value - want["relations"][name]) <= slack, (n, sh, name)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_shipped_configs_match_dense_oracle(cfg_name):
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    for s in range(3):
+        seed = make_seed(cfg, s)
+        for n in range(1, 8):
+            _compare(cfg, n, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_configs(), st.integers(min_value=0, max_value=2))
+def test_random_configs_match_dense_oracle(cfg, s):
+    try:
+        seed = make_seed(cfg, s)
+    except NonGenericSeedError:
+        return
+    # random configurations reach residuals near 1e-8 from rounding alone
+    for n in range(1, 6):
+        _compare(cfg, n, seed, noise_floor=1e-10)
