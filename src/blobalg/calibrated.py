@@ -179,13 +179,32 @@ def _separated(cfg, seed, margin=_MARGIN):
     return True
 
 
+def _pinned(cfg, bases, orbit, exp, q, rng):
+    """Value of the point (orbit, exp) when the configuration pins it,
+    else None (a paired orbit's base is free).
+
+    The integral base is 1.  A self-inverse orbit's base b must satisfy
+    b^2 q^center = 1 (res_to_complex), so it is pinned to +-q^-c, c the
+    orbit's hyperplane_center; its sign is drawn here, once per orbit,
+    and the base is recorded in bases.
+    """
+    if orbit == INTEGRAL_ORBIT:
+        return q**exp
+    c = cfg.hyperplane_center(orbit)
+    if c is None:
+        return None
+    if orbit not in bases:
+        bases[orbit] = rng.choice((1, -1)) * q ** -c
+    return bases[orbit] * q**exp
+
+
 def make_seed(cfg, seed=None):
     """Draw a generic numeric seed consistent with the configuration.
 
     q0 and qn are pinned exactly to whatever the configuration forces
-    (alpha1 = q0*qn, alpha2 = -q0/qn); the leftover freedom is sampled
-    from an annulus and rejected until every special point is cleanly
-    separated.
+    (alpha1 = q0*qn, alpha2 = -q0/qn, with the bases _pinned fixes); the
+    leftover freedom is sampled from an annulus and rejected until every
+    special point is cleanly separated.
     """
     rng = random.Random(seed)
     o1, c1 = cfg.point_site("alpha1")
@@ -195,31 +214,31 @@ def make_seed(cfg, seed=None):
         q = _sample_q(cfg, rng)
         bases = {}
         sign = rng.choice((1, -1))
-        if o1 == o2:
-            # the ratio alpha1/alpha2 does not involve a free base
+        a1 = _pinned(cfg, bases, o1, c1, q, rng)
+        a2 = _pinned(cfg, bases, o2, c2, q, rng)
+        if a1 is not None and a2 is not None:
+            # alpha1/alpha2 = -qn^2 with both values pinned
+            qn = sign * cmath.sqrt(-a1 / a2)
+            q0 = a1 / qn
+        elif o1 == o2:
+            # the ratio alpha1/alpha2 does not involve the free base
             qn = sign * cmath.sqrt(-(q**c1) / q**c2)
-            if o1 == INTEGRAL_ORBIT:
-                q0 = q**c1 / qn
-            else:
-                q0 = _sample_annulus(rng)
-                bases[o1] = q0 * qn * q**-c1
-        elif o1 == INTEGRAL_ORBIT:
+            q0 = _sample_annulus(rng)
+            bases[o1] = q0 * qn * q**-c1
+        elif a1 is not None:
             qn = _sample_annulus(rng)
-            q0 = q**c1 / qn
+            q0 = a1 / qn
             bases[o2] = -q0 / qn * q**-c2
-        elif o2 == INTEGRAL_ORBIT:
+        elif a2 is not None:
             qn = _sample_annulus(rng)
-            q0 = -(q**c2) * qn
+            q0 = -a2 * qn
             bases[o1] = q0 * qn * q**-c1
         else:
             q0, qn = _sample_annulus(rng), _sample_annulus(rng)
             bases[o1] = q0 * qn * q**-c1
             bases[o2] = -q0 / qn * q**-c2
         if ot != INTEGRAL_ORBIT and ot not in bases:
-            c = cfg.hyperplane_center(ot)
-            if c is not None:
-                bases[ot] = rng.choice((1, -1)) * q ** -c
-            else:
+            if _pinned(cfg, bases, ot, ct, q, rng) is None:
                 bases[ot] = _sample_annulus(rng)
         for orbit in list(bases):
             partner = cfg.invert_orbit(orbit)

@@ -34,6 +34,8 @@ from .tableaux import (
     validate_shape,
 )
 
+__all__ = ["run", "main"]
+
 
 class _UsageError(Exception):
     pass

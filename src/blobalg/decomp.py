@@ -327,16 +327,14 @@ def simple_graded_dims(cfg, n):
     """Conjectural graded dimensions of the simple modules, solved by
     back-substitution against the decomposition matrix.
 
-    The graded dimension of each standard module is delta_graded_dim's
-    walk DP, over the walk tables that the decomposition matrix was
-    built from.  Raises RuntimeError if one does not count its tableaux
-    at v = 1.
+    The graded dimension of each standard module is delta_graded_dim,
+    over the walk tables that the decomposition matrix was built from.
+    Raises RuntimeError if one does not count its tableaux at v = 1.
     """
     nmat = decomposition_matrix(cfg, n)
-    tabs = walk_tables(cfg, n)
     dims = {}
     for r, la in enumerate(nmat.shapes):
-        acc = _walks(n, tabs[la])()
+        acc = delta_graded_dim(cfg, n, la)
         if laurent.eval_one(acc) != count_std(n, la):
             raise RuntimeError(
                 "graded dimension of %s is %d at v=1, but the shape has %d "

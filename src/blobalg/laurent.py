@@ -24,7 +24,6 @@ __all__ = [
     "eval_one",
     "to_str",
     "to_json_obj",
-    "from_json_obj",
 ]
 
 
@@ -139,23 +138,6 @@ def to_str(f):
 def to_json_obj(f):
     """JSON-ready dict with string exponents, sorted descending."""
     return {str(e): f[e] for e in sorted(f, reverse=True)}
-
-
-def from_json_obj(obj):
-    """Inverse of to_json_obj.  Strict about types, tolerant of zeros."""
-    if not isinstance(obj, dict):
-        raise ValueError("polynomial must be a JSON object, got %r" % type(obj).__name__)
-    f = {}
-    for k, c in obj.items():
-        try:
-            e = int(k)
-        except (TypeError, ValueError):
-            raise ValueError("bad exponent key %r" % (k,)) from None
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise ValueError("coefficient of v^%d must be an integer, got %r" % (e, c))
-        if c:
-            f[e] = f.get(e, 0) + c
-    return normalized(f)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,8 @@ __all__ = [
     "Formal",
     "SelfInverse",
     "Paired",
+    "PointSpec",
+    "Inversion",
     "Residue",
     "ParamConfig",
     "make_config",
@@ -122,15 +124,6 @@ class ParamConfig:
     def period(self):
         """2e for finite e, else None."""
         return None if self.e is None else 2 * self.e
-
-    def orbits(self):
-        """All orbit names this configuration knows about."""
-        names = {INTEGRAL_ORBIT}
-        names.update(self.inversions)
-        for spec in self.points.values():
-            if isinstance(spec, Formal):
-                names.add(spec.orbit)
-        return names
 
     def _inversion_of(self, orbit):
         if orbit == INTEGRAL_ORBIT:
@@ -372,11 +365,6 @@ def load_config(path):
 # -- validation ---------------------------------------------------------
 
 
-def _is_pm_one(cfg, r):
-    """Whether the residue is +1 or -1, i.e. sits on a wall position."""
-    return cfg.on_hyperplane(r.orbit, r.exp)
-
-
 def validate_config(cfg):
     """Return a list of human-readable violations; empty means valid.
 
@@ -433,31 +421,27 @@ def validate_config(cfg):
             bases[r] = name
     for name in ALPHA_LABELS:
         r = cfg.point_residue(name)
-        if _is_pm_one(cfg, r):
+        if cfg.on_hyperplane(r.orbit, r.exp):
             out.append("special point %s equals +-1" % name)
         for l in (-1, 1):
             shifted = cfg.res_shift(r, l)
-            if _is_pm_one(cfg, shifted):
+            if cfg.on_hyperplane(shifted.orbit, shifted.exp):
                 out.append("special point %s*q^%d equals +-1" % (name, 2 * l))
             hit = bases.get(shifted)
             if hit is not None:
                 out.append("special points collide: %s*q^%d equals %s" % (name, 2 * l, hit))
 
     theta = cfg.point_residue("theta")
-    if _is_pm_one(cfg, theta):
+    if cfg.on_hyperplane(theta.orbit, theta.exp):
         out.append("theta equals +-1")
     for name in ALPHA_LABELS:
         if theta == cfg.point_residue(name):
             out.append("theta equals %s" % name)
     if theta == cfg.res_shift(cfg.point_residue("alpha1_inv"), 1):
         out.append("theta equals q^2/alpha1")
-    c = cfg.hyperplane_center(theta.orbit)
-    if c is not None:
-        d = theta.exp - c
-        if cfg.e is not None:
-            d %= cfg.e
-        if d in (1, 2):
-            out.append("theta equals +-q or +-q^2")
+    if (cfg.on_hyperplane(theta.orbit, theta.exp - 1)
+            or cfg.on_hyperplane(theta.orbit, theta.exp - 2)):
+        out.append("theta equals +-q or +-q^2")
     return out
 
 

@@ -18,24 +18,23 @@ ladder bounds; here degree_tiles (n row lookups per tableau), the tile
 order (_tile_order) of tau_order, reduced_word and degree_klr, and the
 ladder rule (walkers, split_walkers, ladder_tableaux), a subset
 construction over the walk states.  The two degrees stay independent:
-degree_tiles scores rows, degree_klr swaps residue ids.  cstd,
-residue_class_tableaux and the similarity moves stay on Residue objects.
+degree_tiles scores rows, degree_klr swaps residue ids.  No path is
+embedded: a walk is its vertex positions, and max_shape reads only its
+two ends.  cstd and residue_class_tableaux stay on Residue objects; the
+embedded paths and the similarity moves are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .params import ALPHA_LABELS
 from .tableaux import (
     Shape,
-    Tableau,
     box_contents,
     enumerate_std,
-    from_negated_set,
-    is_standard,
     is_valid_shape,
     max_negatives,
     residue_seq,
@@ -43,36 +42,19 @@ from .tableaux import (
     step_residue,
     t_lambda,
     walk_start,
-    weyl_act,
 )
 
 __all__ = [
-    "EmbeddedPath",
-    "embed",
-    "positions",
-    "path_residues",
-    "realize",
-    "negate",
-    "translate",
-    "reflect",
-    "sim_neighbors",
-    "canonical_key",
-    "sim_class_paths",
-    "sim_class_tableaux",
     "residue_class_tableaux",
     "Tile",
     "ShapeTables",
     "walk_tables",
-    "tiles",
     "tile_degree",
     "degree_tiles",
     "row_degrees",
     "tau_order",
     "reduced_word",
-    "word_to_tableau",
     "degree_klr",
-    "perm_from_tableau",
-    "coxeter_length",
     "max_shape",
     "walkers",
     "split_walkers",
@@ -80,133 +62,9 @@ __all__ = [
     "is_ladder",
 ]
 
-
-@dataclass(frozen=True)
-class EmbeddedPath:
-    orbit: str
-    start: int
-    steps: tuple  # True = SE (x+1), False = SW (x-1)
-
-    @property
-    def n(self):
-        return len(self.steps)
-
-
-def embed(cfg, n, t):
-    """Embed a standard tableau as a path anchored at its marker."""
-    negs = t.negated_set()
-    orbit, start = walk_start(cfg, n, t.shape, len(negs))
-    return EmbeddedPath(orbit, start, tuple(j not in negs for j in range(1, n + 1)))
-
-
-def positions(path):
-    """x(0), ..., x(n)."""
-    xs = [path.start]
-    for se in path.steps:
-        xs.append(xs[-1] + (1 if se else -1))
-    return xs
-
-
-def path_residues(cfg, path):
-    """Residue of each step (tableaux.step_residue)."""
-    xs = positions(path)
-    return tuple(step_residue(cfg, path.orbit, xs[j - 1], j, se)
-                 for j, se in enumerate(path.steps, start=1))
-
-
-def realize(cfg, n, path):
-    """All (shape, tableau) pairs this path presents.
-
-    A shape matches when the SW count respects the bead bound and the
-    path starts at that shape's walk_start, up to a 2e-translate.
-    """
-    if path.n != n:
-        raise ValueError("path has %d steps, expected %d" % (path.n, n))
-    negs = frozenset(j for j, se in enumerate(path.steps, start=1) if not se)
-    here = cfg.residue(path.orbit, path.start)
-    out = []
-    for shape in shapes(n):
-        if len(negs) <= max_negatives(n, shape) and (
-                cfg.residue(*walk_start(cfg, n, shape, len(negs))) == here):
-            out.append((shape, from_negated_set(n, shape, negs)))
-    return out
-
-
-# -- similarity moves ----------------------------------------------------
-
-def negate(cfg, path):
-    """Mirror the whole picture through inversion; residues persist."""
-    return EmbeddedPath(
-        cfg.invert_orbit(path.orbit),
-        cfg.raw_invert_position(path.orbit, path.start),
-        tuple(not se for se in path.steps),
-    )
-
-
-def translate(cfg, path, r=1):
-    """Shift by r full periods; only meaningful at finite e."""
-    if cfg.e is None:
-        raise ValueError("translation needs finite e")
-    return EmbeddedPath(path.orbit, path.start + 2 * cfg.e * r, path.steps)
-
-
-def reflect(cfg, path, i):
-    """Reflect the tail after vertex i, which must sit on a wall."""
-    xs = positions(path)
-    if not 0 <= i <= path.n:
-        raise ValueError("vertex index out of range")
-    if not cfg.on_hyperplane(path.orbit, xs[i]):
-        raise ValueError("vertex %d is not on a wall" % i)
-    return EmbeddedPath(
-        path.orbit,
-        path.start,
-        path.steps[:i] + tuple(not se for se in path.steps[i:]),
-    )
-
-
-def sim_neighbors(cfg, path):
-    yield negate(cfg, path)
-    if cfg.e is not None:
-        yield translate(cfg, path, 1)
-        yield translate(cfg, path, -1)
-    xs = positions(path)
-    for i in range(path.n + 1):
-        if cfg.on_hyperplane(path.orbit, xs[i]):
-            yield reflect(cfg, path, i)
-
-
-def canonical_key(cfg, path):
-    start = path.start if cfg.e is None else path.start % (2 * cfg.e)
-    return (path.orbit, start, path.steps)
-
-
-def sim_class_paths(cfg, path):
-    """Breadth-first closure of a path under the similarity moves."""
-    seen = {canonical_key(cfg, path): path}
-    frontier = [path]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in sim_neighbors(cfg, p):
-                key = canonical_key(cfg, q)
-                if key not in seen:
-                    seen[key] = q
-                    nxt.append(q)
-        frontier = nxt
-    return list(seen.values())
-
-
-def sim_class_tableaux(cfg, n, t):
-    """Tableaux realized anywhere in the similarity class of embed(t)."""
-    out = set()
-    for p in sim_class_paths(cfg, embed(cfg, n, t)):
-        for _, u in realize(cfg, n, p):
-            out.add(u)
-    return out
-
-
 def residue_class_tableaux(cfg, n, t):
-    """Tableaux of every shape sharing t's residue sequence."""
+    """Tableaux of every shape sharing t's residue sequence.  It stays
+    for the span perfbench/tracer.py names until ROADMAP item 3 drops it."""
     from .tableaux import cstd
 
     target = residue_seq(cfg, n, t)
@@ -337,22 +195,6 @@ def _positions(x0, n, negs):
     return xs
 
 
-def tiles(cfg, n, t):
-    """Diamond tiles between t's path and its shape's distinguished
-    path, row by row."""
-    tab, xs_t = _walk(cfg, n, t)
-    out = []
-    for yc in range(1, n + 1):
-        a, b = xs_t[yc - 1], tab.xs_l[yc - 1]
-        if a < b:
-            for xc in range(a + 1, b, 2):
-                out.append(Tile(xc, yc, "L"))
-        else:
-            for xc in range(b + 1, a, 2):
-                out.append(Tile(xc, yc, "R"))
-    return out
-
-
 def tile_degree(cfg, orbit, tile):
     """Degree contribution of one tile, read off its top vertex.
 
@@ -445,6 +287,8 @@ def tau_order(cfg, n, t):
     available tiles form an antichain with yc strictly monotone along
     it, so the first key decides (the xc tie-break never fires) and picks
     the extreme (w, u) cell on the left, (y - x, -(x + y)) on the right.
+    It stays for the span perfbench/tracer.py names until ROADMAP item 3
+    drops it; reduced_word and degree_klr read _tile_order directly.
     """
     tab, xs_t = _walk(cfg, n, t)
     return [Tile(yc + k, yc, side)
@@ -458,17 +302,6 @@ def reduced_word(cfg, n, t):
     tab, xs_t = _walk(cfg, n, t)
     word = [yc - 1 for _, _, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
     return word[::-1]
-
-
-def word_to_tableau(n, shape, word, check=False):
-    """Apply a reduced word (printed order) to the distinguished
-    tableau.  With check=True every intermediate must stay standard."""
-    entries = t_lambda(n, shape).entries
-    for c in reversed(word):
-        entries = weyl_act(c, entries)
-        if check and not is_standard(n, shape, entries):
-            raise ValueError("word leaves the standard tableaux at letter %d" % c)
-    return Tableau(shape, entries)
 
 
 def degree_klr(cfg, n, t):
@@ -500,45 +333,25 @@ def degree_klr(cfg, n, t):
     return deg
 
 
-# -- signed permutations -------------------------------------------------
-
-def perm_from_tableau(n, t):
-    """The signed permutation w with t = w(t_lambda), as the tuple
-    (w(1), ..., w(n))."""
-    source = t_lambda(n, t.shape).entries
-    w = [0] * (n + 1)
-    for a, b in zip(source, t.entries):
-        if a > 0:
-            w[a] = b
-        else:
-            w[-a] = -b
-    return tuple(w[1:])
-
-
-def coxeter_length(w):
-    """Length in the signed permutation group: inversions of the signed
-    value sequence plus the sum of the absolute negative values."""
-    n = len(w)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    return inv + sum(-v for v in w if v < 0)
-
-
 # -- widest realization --------------------------------------------------
 
-def max_shape(cfg, n, path) -> Optional[Shape]:
-    """Shape of the widest tableau this path (or its mirror) presents.
+def max_shape(cfg, n, orbit, x0, xn) -> Optional[Shape]:
+    """Shape of the widest tableau a walk on the orbit from x0 to xn (or
+    its mirror) presents; it reads only the two ends.
 
-    Walking right from the start, the first alpha-type marker decides;
-    if the shape it implies is not admissible the answer can only be
-    the zero shape, checked at the far endpoint.
+    A walk with x0 > xn is mirrored through inversion first: it then runs
+    on invert_orbit(orbit) between the raw inverses of its ends.  Walking
+    right from the start, the first alpha-type marker decides; if the
+    shape it implies is not admissible the answer can only be the zero
+    shape, checked at the far endpoint.
     """
-    xs = positions(path)
-    x0, xn = xs[0], xs[-1]
     if x0 > xn:
-        return max_shape(cfg, n, negate(cfg, path))
+        return max_shape(cfg, n, cfg.invert_orbit(orbit),
+                         cfg.raw_invert_position(orbit, x0),
+                         cfg.raw_invert_position(orbit, xn))
     m = 0
     while xn - x0 - 2 * m >= 1:
-        label = cfg.marker_label_at(path.orbit, x0 + 1 + 2 * m)
+        label = cfg.marker_label_at(orbit, x0 + 1 + 2 * m)
         if label in ALPHA_LABELS:
             shape = Shape(xn - x0 - 2 * m, label)
             if is_valid_shape(n, shape):
@@ -546,11 +359,11 @@ def max_shape(cfg, n, path) -> Optional[Shape]:
             break
         m += 1
     if n % 2 == 0:
-        if cfg.marker_label_at(path.orbit, xn + 1) == "theta":
+        if cfg.marker_label_at(orbit, xn + 1) == "theta":
             return Shape(0, "theta")
-        if cfg.marker_label_at(path.orbit, xn - 1) == "theta_inv":
+        if cfg.marker_label_at(orbit, xn - 1) == "theta_inv":
             return Shape(0, "theta")
-    elif cfg.marker_label_at(path.orbit, xn) in ("theta", "theta_inv"):
+    elif cfg.marker_label_at(orbit, xn) in ("theta", "theta_inv"):
         return Shape(0, "theta")
     return None
 
@@ -559,13 +372,12 @@ def walkers(cfg, n):
     """The shapes of n, their ShapeTables, the walkers {(i, c, c): 1}
     before the first step, and widest.  A walker (i, c, r) walks shape i
     with c SW steps, r still to come; widest[i][c] is the max_shape of
-    those walks, which reads only their two ends."""
+    those walks, which all run from x0 + 2c to x0 + n."""
     tabs = walk_tables(cfg, n)
     order = list(tabs)
     tables = [tabs[shape] for shape in order]
-    widest = [[max_shape(cfg, n, EmbeddedPath(
-        tab.orbit, tab.x0 + 2 * c, (False,) * c + (True,) * (n - c)))
-        for c in range(len(tab.sw))] for tab in tables]
+    widest = [[max_shape(cfg, n, tab.orbit, tab.x0 + 2 * c, tab.x0 + n)
+               for c in range(len(tab.sw))] for tab in tables]
     start = {(i, c, c): 1 for i, row in enumerate(widest)
              for c in range(len(row))}
     return order, tables, start, widest
@@ -621,5 +433,6 @@ def ladder_tableaux(cfg, n, shapes):
 
 
 def is_ladder(cfg, n, t):
-    """Whether t is a ladder tableau (_ladder_rule)."""
+    """Whether t is a ladder tableau (_ladder_rule).  It stays for the
+    span perfbench/tracer.py names until ROADMAP item 3 drops it."""
     return _ladder_rule(cfg, n)(t)

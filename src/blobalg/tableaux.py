@@ -19,7 +19,7 @@ the content of the box holding +-i, inverted when the entry is negative.
 
 The same residues are read off a walk, SE for +i and SW for -i: its
 start (walk_start) and the residue each step reads (step_residue) live
-here, for cstd, paths and decomp alike.
+here, for paths.walk_tables (and through it decomp) and for cstd.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import NamedTuple
 from .params import ALPHA_LABELS, Residue
 
 __all__ = [
+    "SHAPE_MARKERS",
     "Shape",
     "Tableau",
     "shapes",
@@ -45,7 +46,6 @@ __all__ = [
     "enumerate_std",
     "t_lambda",
     "is_standard",
-    "weyl_act",
     "box_contents",
     "residue_seq",
     "walk_start",
@@ -55,7 +55,6 @@ __all__ = [
     "parse_shape",
     "tableau_str",
     "parse_tableau",
-    "shape_sort_key",
 ]
 
 SHAPE_MARKERS = ALPHA_LABELS + ("theta",)
@@ -115,11 +114,6 @@ def validate_shape(n, shape):
     if not is_valid_shape(n, shape):
         raise ValueError("%s is not a shape for n=%d" % (shape_str(shape), n))
     return shape
-
-
-def shape_sort_key(shape):
-    """Sort key for the canonical total order (largest shape first)."""
-    return (-shape.k, SHAPE_MARKERS.index(shape.marker))
 
 
 def bead(n, k):
@@ -189,26 +183,6 @@ def is_standard(n, shape, entries):
     return sum(1 for v in entries if v < 0) <= max_negatives(n, shape)
 
 
-def weyl_act(j, entries):
-    """Apply the signed-permutation generator s_j to the entries.
-
-    s_0 flips the sign of the entry +-1; s_j for j >= 1 swaps the values
-    j and j+1, signs riding along.  Boxes stay put, so the result need
-    not be standard.
-    """
-    if j == 0:
-        return tuple(-v if abs(v) == 1 else v for v in entries)
-    out = []
-    for v in entries:
-        a = abs(v)
-        if a == j:
-            a = j + 1
-        elif a == j + 1:
-            a = j
-        out.append(a if v > 0 else -a)
-    return tuple(out)
-
-
 def box_contents(cfg, n, shape):
     """Content residues of boxes 1..n (index 0 unused)."""
     pr = cfg.point_residue(shape.marker)
@@ -264,7 +238,9 @@ def cstd(cfg, n, shape, target):
 
     Walks the path lattice from walk_start, once per admissible count
     of negative entries, taking only steps whose step_residue matches,
-    so the search branches only where both SE and SW match.
+    so the search branches only where both SE and SW match.  No command
+    runs it; it stays for the span perfbench/tracer.py names until
+    ROADMAP item 3 drops it.
     """
     validate_shape(n, shape)
     R = _target_residues(cfg, n, target)

@@ -1,5 +1,6 @@
 """Slow reference implementations that the fast library code is
-differentially tested against.
+differentially tested against, and the objects that tests state
+criteria about but no command computes.
 
 The cstd oracle filters the full enumeration by residue sequence.  The
 marker oracle compares a position with all six special points in turn,
@@ -21,10 +22,19 @@ standardness.  The calibrated module oracles are the dense builder,
 which stores every generator as a dim x dim array, and the four
 relation checkers that evaluate every relation by dense matrix
 products.
+
+The library embeds no path: an EmbeddedPath (orbit, start, steps) and
+the similarity moves on it (negate, translate, reflect), whose closure
+is the residue-class lemma of tests/test_acceptance.py, live here, as
+do the signed permutations (weyl_act, perm_from_tableau,
+coxeter_length, word_to_tableau) that the word and tiling criteria are
+stated in, the canonical shape order key, the orbit names of a
+configuration and the JSON reader of a Laurent polynomial.
 """
 
 import cmath
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +49,257 @@ from blobalg.calibrated import (
     residue_value,
 )
 from blobalg.decomp import GradedMatrix
-from blobalg.params import ALPHA_LABELS, DEFAULT_TOL, MARKER_LABELS
+from blobalg.params import (
+    ALPHA_LABELS,
+    DEFAULT_TOL,
+    INTEGRAL_ORBIT,
+    MARKER_LABELS,
+    Formal,
+)
 from blobalg.paths import (
-    EmbeddedPath,
     Tile,
-    embed,
     max_shape,
-    positions,
     residue_class_tableaux,
     tile_degree,
     walk_tables,
 )
 from blobalg.tableaux import (
+    SHAPE_MARKERS,
     Tableau,
     _target_residues,
     cstd,
     enumerate_std,
+    from_negated_set,
     is_standard,
+    max_negatives,
     residue_seq,
     shapes,
+    step_residue,
     t_lambda,
-    weyl_act,
+    walk_start,
 )
 
+
+# -- embedded paths and the similarity moves ----------------------------
+
+@dataclass(frozen=True)
+class EmbeddedPath:
+    orbit: str
+    start: int
+    steps: tuple  # True = SE (x+1), False = SW (x-1)
+
+    @property
+    def n(self):
+        return len(self.steps)
+
+
+def embed(cfg, n, t):
+    """Embed a standard tableau as a path anchored at its marker."""
+    negs = t.negated_set()
+    orbit, start = walk_start(cfg, n, t.shape, len(negs))
+    return EmbeddedPath(orbit, start, tuple(j not in negs for j in range(1, n + 1)))
+
+
+def positions(path):
+    """x(0), ..., x(n)."""
+    xs = [path.start]
+    for se in path.steps:
+        xs.append(xs[-1] + (1 if se else -1))
+    return xs
+
+
+def ends(path):
+    """(orbit, x(0), x(n)): what paths.max_shape reads of a path."""
+    xs = positions(path)
+    return path.orbit, xs[0], xs[-1]
+
+
+def path_residues(cfg, path):
+    """Residue of each step (tableaux.step_residue)."""
+    xs = positions(path)
+    return tuple(step_residue(cfg, path.orbit, xs[j - 1], j, se)
+                 for j, se in enumerate(path.steps, start=1))
+
+
+def realize(cfg, n, path):
+    """All (shape, tableau) pairs this path presents.
+
+    A shape matches when the SW count respects the bead bound and the
+    path starts at that shape's walk_start, up to a 2e-translate.
+    """
+    if path.n != n:
+        raise ValueError("path has %d steps, expected %d" % (path.n, n))
+    negs = frozenset(j for j, se in enumerate(path.steps, start=1) if not se)
+    here = cfg.residue(path.orbit, path.start)
+    out = []
+    for shape in shapes(n):
+        if len(negs) <= max_negatives(n, shape) and (
+                cfg.residue(*walk_start(cfg, n, shape, len(negs))) == here):
+            out.append((shape, from_negated_set(n, shape, negs)))
+    return out
+
+
+def negate(cfg, path):
+    """Mirror the whole picture through inversion; residues persist."""
+    return EmbeddedPath(
+        cfg.invert_orbit(path.orbit),
+        cfg.raw_invert_position(path.orbit, path.start),
+        tuple(not se for se in path.steps),
+    )
+
+
+def translate(cfg, path, r=1):
+    """Shift by r full periods; only meaningful at finite e."""
+    if cfg.e is None:
+        raise ValueError("translation needs finite e")
+    return EmbeddedPath(path.orbit, path.start + 2 * cfg.e * r, path.steps)
+
+
+def reflect(cfg, path, i):
+    """Reflect the tail after vertex i, which must sit on a wall."""
+    xs = positions(path)
+    if not 0 <= i <= path.n:
+        raise ValueError("vertex index out of range")
+    if not cfg.on_hyperplane(path.orbit, xs[i]):
+        raise ValueError("vertex %d is not on a wall" % i)
+    return EmbeddedPath(
+        path.orbit,
+        path.start,
+        path.steps[:i] + tuple(not se for se in path.steps[i:]),
+    )
+
+
+def sim_neighbors(cfg, path):
+    yield negate(cfg, path)
+    if cfg.e is not None:
+        yield translate(cfg, path, 1)
+        yield translate(cfg, path, -1)
+    xs = positions(path)
+    for i in range(path.n + 1):
+        if cfg.on_hyperplane(path.orbit, xs[i]):
+            yield reflect(cfg, path, i)
+
+
+def canonical_key(cfg, path):
+    start = path.start if cfg.e is None else path.start % (2 * cfg.e)
+    return (path.orbit, start, path.steps)
+
+
+def sim_class_paths(cfg, path):
+    """Breadth-first closure of a path under the similarity moves."""
+    seen = {canonical_key(cfg, path): path}
+    frontier = [path]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in sim_neighbors(cfg, p):
+                key = canonical_key(cfg, q)
+                if key not in seen:
+                    seen[key] = q
+                    nxt.append(q)
+        frontier = nxt
+    return list(seen.values())
+
+
+def sim_class_tableaux(cfg, n, t):
+    """Tableaux realized anywhere in the similarity class of embed(t)."""
+    out = set()
+    for p in sim_class_paths(cfg, embed(cfg, n, t)):
+        for _, u in realize(cfg, n, p):
+            out.add(u)
+    return out
+
+
+# -- signed permutations -------------------------------------------------
+
+def weyl_act(j, entries):
+    """Apply the signed-permutation generator s_j to the entries.
+
+    s_0 flips the sign of the entry +-1; s_j for j >= 1 swaps the values
+    j and j+1, signs riding along.  Boxes stay put, so the result need
+    not be standard.
+    """
+    if j == 0:
+        return tuple(-v if abs(v) == 1 else v for v in entries)
+    out = []
+    for v in entries:
+        a = abs(v)
+        if a == j:
+            a = j + 1
+        elif a == j + 1:
+            a = j
+        out.append(a if v > 0 else -a)
+    return tuple(out)
+
+
+def word_to_tableau(n, shape, word, check=False):
+    """Apply a reduced word (printed order) to the distinguished
+    tableau.  With check=True every intermediate must stay standard."""
+    entries = t_lambda(n, shape).entries
+    for c in reversed(word):
+        entries = weyl_act(c, entries)
+        if check and not is_standard(n, shape, entries):
+            raise ValueError("word leaves the standard tableaux at letter %d" % c)
+    return Tableau(shape, entries)
+
+
+def perm_from_tableau(n, t):
+    """The signed permutation w with t = w(t_lambda), as the tuple
+    (w(1), ..., w(n))."""
+    source = t_lambda(n, t.shape).entries
+    w = [0] * (n + 1)
+    for a, b in zip(source, t.entries):
+        if a > 0:
+            w[a] = b
+        else:
+            w[-a] = -b
+    return tuple(w[1:])
+
+
+def coxeter_length(w):
+    """Length in the signed permutation group: inversions of the signed
+    value sequence plus the sum of the absolute negative values."""
+    n = len(w)
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return inv + sum(-v for v in w if v < 0)
+
+
+# -- shapes, configurations and polynomials ------------------------------
+
+def shape_sort_key(shape):
+    """Sort key for the canonical total order (largest shape first)."""
+    return (-shape.k, SHAPE_MARKERS.index(shape.marker))
+
+
+def orbits(cfg):
+    """All orbit names the configuration knows about."""
+    names = {INTEGRAL_ORBIT}
+    names.update(cfg.inversions)
+    for spec in cfg.points.values():
+        if isinstance(spec, Formal):
+            names.add(spec.orbit)
+    return names
+
+
+def from_json_obj(obj):
+    """Inverse of laurent.to_json_obj.  Strict about types, tolerant of
+    zeros."""
+    if not isinstance(obj, dict):
+        raise ValueError("polynomial must be a JSON object, got %r" % type(obj).__name__)
+    f = {}
+    for k, c in obj.items():
+        try:
+            e = int(k)
+        except (TypeError, ValueError):
+            raise ValueError("bad exponent key %r" % (k,)) from None
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise ValueError("coefficient of v^%d must be an integer, got %r" % (e, c))
+        if c:
+            f[e] = f.get(e, 0) + c
+    return laurent.normalized(f)
+
+
+# -- reference implementations ------------------------------------------
 
 def marker_label_at_loop(cfg, orbit, x):
     """Oracle for ParamConfig.marker_label_at: the first label in
@@ -90,8 +328,9 @@ def row_degree(cfg, orbit, yc, a, b):
 
 
 def tiles_embedded(cfg, n, t):
-    """Oracle for paths.tiles: the tiles between the embedded paths of
-    t and of its shape's t_lambda, row by row."""
+    """The tiles between the embedded paths of t and of its shape's
+    t_lambda, row by row: the tile diagram that paths.degree_tiles,
+    tau_order, reduced_word and degree_klr read off walk_tables."""
     xs_t = positions(embed(cfg, n, t))
     xs_l = positions(embed(cfg, n, t_lambda(n, t.shape)))
     out = []
@@ -211,7 +450,7 @@ def is_ladder_class(cfg, n, t):
     by cstd over every shape (residue_class_tableaux), and t's shape is
     the max_shape of that path."""
     p = embed(cfg, n, t)
-    if max_shape(cfg, n, p) != t.shape:
+    if max_shape(cfg, n, *ends(p)) != t.shape:
         return False
     w = _width(p)
     for u in residue_class_tableaux(cfg, n, t):
@@ -289,7 +528,7 @@ def simple_dim_lower_bounds_walks(cfg, n):
             _tally_walks(n, c, tab.se, tab.sw, groups, least)
             rep_path = EmbeddedPath(tab.orbit, tab.x0 + 2 * c,
                                     (False,) * c + (True,) * (n - c))
-            widest.append(max_shape(cfg, n, rep_path))
+            widest.append(max_shape(cfg, n, *ends(rep_path)))
         per_shape.append((shape, groups, widest))
     out = {}
     for shape, groups, widest in per_shape:

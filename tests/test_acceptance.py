@@ -20,16 +20,7 @@ from blobalg.calibrated import (
     residue_value,
 )
 from blobalg.decomp import GradedMatrix, blocks, delta_matrix, na_factorize
-from blobalg.paths import (
-    coxeter_length,
-    degree_klr,
-    degree_tiles,
-    perm_from_tableau,
-    reduced_word,
-    sim_class_tableaux,
-    tiles,
-    word_to_tableau,
-)
+from blobalg.paths import degree_klr, degree_tiles, reduced_word
 from blobalg.tableaux import (
     Shape,
     Tableau,
@@ -43,6 +34,13 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
+from oracles import (
+    coxeter_length,
+    perm_from_tableau,
+    sim_class_tableaux,
+    word_to_tableau,
+)
+from oracles import tiles_embedded as tiles
 
 TOL = 1e-8
 

@@ -417,6 +417,33 @@ def test_calibrated_check_non_generic_config_fails(capsys):
     assert "non-generic" in err
 
 
+# alpha1 on a self-inverse orbit: its base is pinned to +-q^-3 as the
+# integral base is pinned to 1, so alpha1 is a q-power and the seed
+# degenerates once n is large enough to reach it
+SELF_INVERSE_ALPHA = {"e": "infinity",
+                      "points": {"alpha1": {"orbit": "A", "offset": 0},
+                                 "alpha2": {"orbit": "B", "offset": 0},
+                                 "theta": {"integral": 3}},
+                      "inversions": {"A": {"self_center": 6},
+                                     "B": {"paired": "B*"}}}
+
+
+def test_calibrated_check_on_self_inverse_alpha_orbit(tmp_path, capsys):
+    path = tmp_path / "self-inverse.json"
+    path.write_text(json.dumps(SELF_INVERSE_ALPHA))
+    assert invoke(capsys, "validate", "--config", str(path))[0] == 0
+    for seed in ("0", "1", "2"):
+        rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                              str(path), "--n", "2", "--seed", seed)
+        assert rc == 0, err
+        assert out.endswith(": PASS\n")
+    rc, out, err = invoke(capsys, "calibrated-check", "--config", str(path),
+                          "--n", "4")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("non-generic seed: ")
+
+
 def test_degree_agreement_columns(capsys):
     rc, out, _ = invoke(capsys, "degree", "--config",
                         str(CONFIGS / "e5-formal.json"), "--n", "3")
@@ -447,9 +474,10 @@ def test_word_accepts_tableau_literal(capsys):
 
 def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
     # degree and word read the walk tables, built once per command, so
-    # t_lambda is built and embedded at most a few times per shape, not
-    # once per tableau
-    calls = dict.fromkeys(("embed", "t_lambda", "_build_walk_tables"), 0)
+    # t_lambda is built at most a few times per shape, not once per
+    # tableau; the library embeds no path at all
+    assert not hasattr(paths, "embed")
+    calls = dict.fromkeys(("t_lambda", "_build_walk_tables"), 0)
     for name in calls:
         def counted(*args, _real=getattr(paths, name), _name=name):
             calls[_name] += 1

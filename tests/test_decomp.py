@@ -34,6 +34,7 @@ from oracles import (
     degree_tiles_tilewise,
     delta_graded_dim_enum,
     delta_matrix_cstd,
+    from_json_obj,
     simple_dim_lower_bounds_enum,
     simple_dim_lower_bounds_walks,
 )
@@ -87,7 +88,7 @@ def test_json_round_trip(cfg_e5_formal):
     obj = json.loads(json.dumps(d.to_json_obj()))
     assert "conjectural" not in obj
     back = [
-        [laurent.from_json_obj(e) for e in row] for row in obj["entries"]
+        [from_json_obj(e) for e in row] for row in obj["entries"]
     ]
     assert tuple(parse_shape(s) for s in obj["shapes"]) == d.shapes
     assert tuple(tuple(r) for r in back) == d.rows

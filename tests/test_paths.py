@@ -5,31 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from blobalg.paths import (
-    EmbeddedPath,
-    canonical_key,
-    coxeter_length,
     degree_klr,
     degree_tiles,
-    embed,
     is_ladder,
     ladder_tableaux,
     max_shape,
-    negate,
-    path_residues,
-    perm_from_tableau,
-    positions,
-    realize,
     reduced_word,
-    reflect,
     residue_class_tableaux,
     row_degrees,
-    sim_class_tableaux,
-    sim_neighbors,
     tau_order,
-    tiles,
-    translate,
     walk_tables,
-    word_to_tableau,
 )
 from blobalg.params import MARKER_LABELS, load_config
 from blobalg.tableaux import (
@@ -43,17 +28,32 @@ from blobalg.tableaux import (
     step_residue,
     t_lambda,
     walk_start,
-    weyl_act,
 )
 
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
+    EmbeddedPath,
+    canonical_key,
+    coxeter_length,
     degree_klr_residues,
     degree_tiles_tilewise,
+    embed,
+    ends,
     is_ladder_class,
+    negate,
+    path_residues,
+    perm_from_tableau,
+    positions,
+    realize,
+    reflect,
     row_degree,
+    sim_class_tableaux,
+    sim_neighbors,
     tau_order_scan,
     tiles_embedded,
+    translate,
+    weyl_act,
+    word_to_tableau,
 )
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -156,7 +156,7 @@ def test_tile_count_is_coxeter_length(cfg_e7):
     for n in range(1, 8):
         for t in all_tableaux(n):
             w = perm_from_tableau(n, t)
-            assert len(tiles(cfg_e7, n, t)) == coxeter_length(w)
+            assert len(tiles_embedded(cfg_e7, n, t)) == coxeter_length(w)
 
 
 def _bn_distances(n):
@@ -222,7 +222,6 @@ def test_row_degrees_match_row_degree(cfg_name):
 
 def _statistics_match_oracles(cfg, n):
     for t in all_tableaux(n):
-        assert tiles(cfg, n, t) == tiles_embedded(cfg, n, t), (n, t)
         assert degree_tiles(cfg, n, t) == degree_tiles_tilewise(cfg, n, t), (n, t)
         order = tau_order_scan(cfg, n, t)
         assert tau_order(cfg, n, t) == order, (n, t)
@@ -323,8 +322,8 @@ def test_figure_small_degrees(cfg_e14_mirror):
     purple = Tableau(lam, (-9, 1, 2, 3, 4, 5, 6, 7, 8))
     assert degree_tiles(cfg_e14_mirror, 9, purple) == 1
     assert degree_klr(cfg_e14_mirror, 9, purple) == 1
-    assert len(tiles(cfg_e14_mirror, 9, purple)) == 9
-    assert max_shape(cfg_e14_mirror, 9, embed(cfg_e14_mirror, 9, purple)) == Shape(
+    assert len(tiles_embedded(cfg_e14_mirror, 9, purple)) == 9
+    assert max_shape(cfg_e14_mirror, 9, *ends(embed(cfg_e14_mirror, 9, purple))) == Shape(
         7, "alpha2"
     )
     assert not is_ladder(cfg_e14_mirror, 9, purple)
@@ -341,7 +340,7 @@ def test_figure_large_word(cfg_e14_fig):
     )
     p = embed(cfg_e14_fig, 19, t)
     assert positions(p)[0] == -3
-    ts = tiles(cfg_e14_fig, 19, t)
+    ts = tiles_embedded(cfg_e14_fig, 19, t)
     assert len(ts) == 18
     assert coxeter_length(perm_from_tableau(19, t)) == 18
     word = reduced_word(cfg_e14_fig, 19, t)
@@ -356,14 +355,26 @@ def test_max_shape_of_distinguished_tableau(cfg_e7, cfg_e5_formal, cfg_e14_fig):
         for n in range(1, 8):
             for shape in shapes(n):
                 p = embed(cfg, n, t_lambda(n, shape))
-                assert max_shape(cfg, n, p) == shape
+                assert max_shape(cfg, n, *ends(p)) == shape
 
 
 def test_max_shape_all_negative_zero_shape(cfg_e5_formal):
     t = from_negated_set(16, Shape(0, "theta"), range(1, 17))
     p = embed(cfg_e5_formal, 16, t)
     assert positions(p)[0] > positions(p)[-1]  # forces the mirrored scan
-    assert max_shape(cfg_e5_formal, 16, p) == Shape(16, "alpha1_inv")
+    assert max_shape(cfg_e5_formal, 16, *ends(p)) == Shape(16, "alpha1_inv")
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_max_shape_is_mirror_invariant(cfg_name):
+    # a walk and its mirror through inversion present the same widest
+    # shape, whichever of the two is scanned directly
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    for n in range(1, 7):
+        for t in all_tableaux(n):
+            p = embed(cfg, n, t)
+            assert max_shape(cfg, n, *ends(p)) == max_shape(
+                cfg, n, *ends(negate(cfg, p))), (n, t)
 
 
 def test_t_lambda_is_always_ladder(cfg_e7, cfg_e5_formal, cfg_einf_integral):

@@ -18,16 +18,14 @@ from blobalg.tableaux import (
     parse_shape,
     parse_tableau,
     residue_seq,
-    shape_sort_key,
     shape_str,
     shapes,
     t_lambda,
     tableau_str,
-    weyl_act,
 )
 
 from conftest import CONFIG_FACTORIES
-from oracles import cstd_brute
+from oracles import cstd_brute, shape_sort_key, weyl_act
 
 
 def test_shapes_small():
