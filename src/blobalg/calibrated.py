@@ -13,21 +13,26 @@ them per check, against a tolerance of their own (default 1e-8).
 In a calibrated module each of T_0, ..., T_{n-1} and T_0v has a
 diagonal and at most one off-diagonal entry per column, so they are
 stored as ``Seminormal`` (diagonal, partner index, off-diagonal
-coefficient), O(dim) each; T_n and X_1, ..., X_n are dense arrays.  A
-product with a Seminormal factor gathers and scales rows or columns in
-O(dim^2), never a dense matmul.  A relation's residual is summed into
-one dense array: a word of k Seminormal factors is scattered into it
-term by term, at most 2^k terms per row, and only words involving T_n,
-X_i or the blob products are multiplied out.
+coefficient), O(dim) each; T_n and X_1, ..., X_n are dense arrays,
+built from them by Seminormal products.  A product with a Seminormal
+factor gathers and scales rows or columns in O(dim^2), never a dense
+matmul.  A relation's residual is summed into one dense array: a word
+of k Seminormal factors is scattered into it term by term, at most 2^k
+terms per row, and only words involving T_n or the blob products are
+multiplied out.  The X_i are diagonal up to rounding, so a commutator
+[X_i, X_j] is first bounded from their diagonals and off-diagonal
+norms in O(dim^2), and formed only when that bound reaches the
+tolerance.
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
-Frobenius norm is reported when it is already below the tolerance, and
-the spectral norm (an SVD of the dense residual) only otherwise.  Since
-the Frobenius norm bounds the spectral norm from above, every
-pass/fail decision is the one the spectral norm alone would give, and
-the relation that ``calibrated-check --format json`` names as
-``worst_relation`` is the one with the largest reported value.
+Frobenius norm (or, for the X_i commutators, the bound above) is
+reported when it is already below the tolerance, and the spectral norm
+(an SVD of the dense residual) only otherwise.  Since both bound the
+spectral norm from above, every pass/fail decision is the one the
+spectral norm alone would give, and the relation that
+``calibrated-check --format json`` names as ``worst_relation`` is the
+one with the largest reported value.
 
 Everything here is double precision on purpose: the relations are
 polynomial identities and a generic seed keeps every denominator well
@@ -335,9 +340,17 @@ def _expand(word):
 
 
 def _scatter(res, coef, word):
-    """Add coef times the product of a Seminormal word into dense res."""
+    """Add coef times the product of a Seminormal word into dense res.
+
+    Each term column of _expand is a composition of partner involutions,
+    a permutation of the rows, so it is added by one fancy-index +=
+    without repeated entries; entry by entry, the terms are summed in
+    column order."""
     cols, vals = _expand(word)
-    np.add.at(res, (np.arange(len(cols))[:, None], cols), coef * vals)
+    rows = np.arange(len(cols))
+    vals = coef * vals
+    for j in range(cols.shape[1]):
+        res[rows, cols[:, j]] += vals[:, j]
     return res
 
 
@@ -379,7 +392,9 @@ def module_bytes(n):
     generic configuration peaked at 27.4, 29.0, 30.5, 33.2 and 36.1
     arrays at n = 5 .. 9 (tracemalloc).  It is kept as it was, so it
     over-counts the two idempotents now held and the n + 1 generators
-    T_0 .. T_{n-1}, T_0v, which are Seminormal, O(dim) each.
+    T_0 .. T_{n-1}, T_0v, which are Seminormal, O(dim) each.  The X_i
+    commutator bound holds two dense temporaries, no more than the
+    product and residual it replaces below the tolerance.
     """
     dim = max(count_std(n, s) for s in shapes(n))
     return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
@@ -400,8 +415,10 @@ def build_calibrated(cfg, n, shape, seed):
     the partner s_i t and the pair coefficient.  T_0v = diag(X_1)(T_0 +
     1/q0 - q0) is the same pairing with its rows scaled.  T_n = W T_0v
     W^-1 (W = T_{n-1} .. T_1, T_i^-1 = T_i + 1/q - q) and X_{i+1} = T_i
-    X_i T_i are dense: the X_i by Seminormal x dense products in
-    O(dim^2), T_n by dense products of the densified T_i (see below).
+    X_i T_i are dense, both formed by Seminormal x dense products in
+    O(dim^2) each, O(n dim^2) in all.  The X_i are diagonal up to
+    rounding, and check_hecke_relations reports their commutators as a
+    certified bound below the tolerance (_x_commutator).
 
     Raises NonGenericSeedError when a denominator is below
     _DENOM_FLOOR, naming the offending generator and tableau; T_1 ..
@@ -456,15 +473,10 @@ def build_calibrated(cfg, n, shape, seed):
     g1 = np.array([g[0] for g in gamma], dtype=complex)
     t0v = Seminormal(g1 * (t0.diag + (1 / q0 - q0)), t0.partner, g1 * t0.off)
 
-    # T_n alone is built by dense BLAS products.  Seminormal products give
-    # an equally accurate T_n (both within ~1e-15 relative of one built
-    # in extended precision) but round differently, and relations on T_n
-    # that sit at the rounding floor of the gate (generic n = 8, seeds
-    # 114 and 207) change status with that rounding.
-    eye = np.eye(dim, dtype=complex)
-    tn = np.asarray(t0v)
-    for mat in map(np.asarray, ts):  # T_1 first, T_{n-1} outermost
-        tn = mat @ tn @ (mat + (1 / q - q) * eye)
+    tn = t0v
+    for mat in ts:  # T_1 first, T_{n-1} outermost
+        tn = mat @ tn @ mat.shift(1 / q - q)
+    tn = np.asarray(tn)  # n = 1: T_n is T_0v itself
 
     xs = [t0v @ t0]
     for mat in ts:
@@ -531,7 +543,8 @@ def _report(relations, tol):
 
 
 def check_hecke_relations(m, tol=DEFAULT_TOL):
-    """Quadratic, commuting, braid, and X-commutation residuals."""
+    """Quadratic, commuting, braid, and X-commutation residuals; an
+    X-commutation value below tol is the bound of _x_commutator."""
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
@@ -553,11 +566,44 @@ def check_hecke_relations(m, tol=DEFAULT_TOL):
             rel["braid4 %s %s" % (na, nb)] = _residual(
                 [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
 
+    xs = [(x, np.diag(x), float(np.linalg.norm(_off_diagonal(x))))
+          for x in m.xs]
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            rel["commute X%d X%d" % (i + 1, j + 1)] = _residual(
-                _commutator(m.xs[i], m.xs[j]), tol)
+            rel["commute X%d X%d" % (i + 1, j + 1)] = _x_commutator(
+                xs[i], xs[j], tol)
     return _report(rel, tol)
+
+
+def _off_diagonal(x):
+    """A copy of x with its diagonal zeroed."""
+    e = x.copy()
+    e.flat[::len(e) + 1] = 0
+    return e
+
+
+def _x_commutator(xi, xj, tol):
+    """Reported residual of [X_i, X_j], each given as (X, diagonal d,
+    Frobenius norm of X - diag(d)).
+
+    With X = D + E, D = diag(d), [X_i, X_j] = G_i * E_j - G_j * E_i +
+    [E_i, E_j], where G[r, c] = d[r] - d[c] and * is the entrywise
+    product; G has a zero diagonal, so G_i * E_j = G_i * X_j.  Hence the
+    spectral norm is at most |G_i * X_j - G_j * X_i|_F + 2 |E_i|_F
+    |E_j|_F, O(dim^2) without a product.  That bound is reported when it
+    is below tol; otherwise the commutator is formed and reported as
+    _residual does.
+    """
+    (a, da, ea), (b, db, eb) = xi, xj
+    res = np.subtract.outer(da, da)
+    res *= b
+    tmp = np.subtract.outer(db, db)
+    tmp *= a
+    res -= tmp
+    bound = float(np.linalg.norm(res)) + 2 * ea * eb
+    if bound < tol:
+        return bound
+    return _residual(_commutator(a, b), tol)
 
 
 def check_tl_relations(m, tol=DEFAULT_TOL):
@@ -592,7 +638,7 @@ def check_jm_spectrum(m, tol=DEFAULT_TOL):
     for i, x in enumerate(m.xs, start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
         rel["X%d diagonal" % i] = float(np.max(np.abs(np.diag(x) - expected)))
-        rel["X%d off-diagonal" % i] = _norm(x - np.diag(np.diag(x)), tol)
+        rel["X%d off-diagonal" % i] = _norm(_off_diagonal(x), tol)
     return _report(rel, tol)
 
 

@@ -4,6 +4,7 @@ and the floating-point relation checks, with TSV and JSON output."""
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -250,6 +251,10 @@ _CHECKS = (
 
 
 def _cmd_calibrated_check(args):
+    # All but a few products of the checks are O(dim^2) gathers, and a
+    # second BLAS thread mostly spins: default to one.  This must precede
+    # the first import of numpy; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import calibrated
 
     cfg = _load(args.config)

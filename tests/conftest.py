@@ -11,6 +11,8 @@ nothing ever collides.
 beyond these six, kept only when validate_config finds no violation.
 """
 
+import os
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -148,3 +150,15 @@ def cfg_generic():
 @pytest.fixture(params=sorted(CONFIG_FACTORIES))
 def any_cfg(request):
     return CONFIG_FACTORIES[request.param]()
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_restored():
+    """An in-process calibrated-check defaults OPENBLAS_NUM_THREADS for
+    its process; restore it so later subprocesses see the outer value."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before

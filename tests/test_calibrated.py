@@ -352,6 +352,41 @@ def test_norm_bounds_spectral_on_residuals(cfg_name, monkeypatch):
         assert real(mat, tol) >= spectral * (1 - NORM_SLACK)
 
 
+def _commutator_norm(a, b, dtype):
+    """Spectral norm of ab - ba, the products formed in dtype."""
+    a, b = a.astype(dtype), b.astype(dtype)
+    return np.linalg.norm((a @ b - b @ a).astype(complex), 2)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_x_commutator_bound_against_dense(cfg_name):
+    # Below tol a commute X_i X_j value is the certified bound, never under
+    # the spectral norm of the dense commutator; with tol at or under the
+    # bound it is the dense residual itself.
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    seen = 0
+    for s in range(3):
+        seed = make_seed(cfg, s)
+        for n in range(2, 8):
+            for m in _buildable(cfg, n, seed):
+                xs = {"commute X%d X%d" % (i + 1, j + 1): (m.xs[i], m.xs[j])
+                      for i in range(n) for j in range(i + 1, n)}
+                bounds = check_hecke_relations(m)["relations"]
+                tol = min(bounds[name] for name in xs)
+                exact = check_hecke_relations(m, tol)["relations"]
+                for name, (a, b) in xs.items():
+                    spectral = _commutator_norm(a, b, complex)
+                    if bounds[name] < spectral * (1 - NORM_SLACK):
+                        # near 1e-16 the double products round by more
+                        # than the commutator: form it in extended precision
+                        spectral = _commutator_norm(a, b, np.clongdouble)
+                    assert bounds[name] >= spectral * (1 - NORM_SLACK), (n, name)
+                    assert exact[name] == calibrated._residual(
+                        calibrated._commutator(a, b), tol), (n, name)
+                    seen += bounds[name] < TOL
+    assert seen > 1000
+
+
 def _reports(cfg, n, seed, tol):
     return [checker(m, tol) for m in _buildable(cfg, n, seed)
             for checker in CHECKERS]

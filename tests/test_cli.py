@@ -327,6 +327,19 @@ def test_calibrated_check_tol_must_be_positive_finite(capsys, tol):
     assert "--tol" in err and "must be a positive finite number" in err
 
 
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_calibrated_check_defaults_to_one_blas_thread(capsys, monkeypatch,
+                                                      preset, want):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    rc, _, _ = invoke(capsys, "calibrated-check", "--config",
+                      str(CONFIGS / "generic.json"), "--n", "2")
+    assert rc == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == want
+
+
 def test_calibrated_check_passes(capsys):
     rc, out, _ = invoke(capsys, "calibrated-check", "--config",
                         str(CONFIGS / "generic.json"), "--n", "3",

@@ -2,11 +2,12 @@
 
 Every subcommand runs under sys.settrace (call events only) on the
 shipped configurations at n = 2 and 4, in both formats and with
---shape, --block-of, --tol and a tableau literal for word.  Every
-function and method defined in src/blobalg must be entered, apart from
-the allowlist below, each entry with its reason; what only tests call
-is a test oracle and lives in tests/oracles.py.  Each module's __all__
-must list exactly its public top-level definitions.
+--shape, --block-of, --tol, a tableau literal for word and
+calibrated-check at n = 1.  Every function and method defined in
+src/blobalg must be entered, apart from the allowlist below, each entry
+with its reason; what only tests call is a test oracle and lives in
+tests/oracles.py.  Each module's __all__ must list exactly its public
+top-level definitions.
 """
 
 import ast
@@ -71,6 +72,8 @@ def _argvs():
         out.append(("tableaux", "--n", str(n), "--shape", "(0,theta)"))
     out.append(("word", "--config", str(CONFIGS[0]), "--n", "3",
                 "--shape", "(1,alpha1):[-2,1,3]"))
+    # at n = 1 there is no T_i to conjugate by, and T_n is T_0v densified
+    out.append(("calibrated-check", "--config", str(CONFIGS[0]), "--n", "1"))
     return out
 
 
