@@ -621,15 +621,28 @@ def build_calibrated_dense(cfg, n, shape, seed):
     x1 = np.diag(np.array([gamma[r][0] for r in range(dim)], dtype=complex))
     t0v = x1 @ (t0 + (1 / q0 - q0) * eye)
 
+    tn, xs = dense_products(t0v, t0, ts, q)
+    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs, seed)
+
+
+def dense_products(t0v, t0, ts, q, dtype=complex):
+    """T_n = W T_0v W^-1 and X_1 .. X_n from the dense T_0v, T_0 ..
+    T_{n-1}, every product and constant formed in dtype: np.clongdouble
+    gives an extended-precision reference of the very products the
+    dense builder forms in double."""
+    one, q = dtype(1), dtype(q)
+    t0v, t0 = np.asarray(t0v, dtype=dtype), np.asarray(t0, dtype=dtype)
+    ts = [np.asarray(mat, dtype=dtype) for mat in ts]
+    eye = np.eye(len(t0), dtype=dtype)
+
     tn = t0v
     for mat in ts:  # T_1 first, T_{n-1} outermost
-        tn = mat @ tn @ (mat + (1 / q - q) * eye)
+        tn = mat @ tn @ (mat + (one / q - q) * eye)
 
     xs = [t0v @ t0]
     for mat in ts:
         xs.append(mat @ xs[-1] @ mat)
-
-    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs, seed)
+    return tn, xs
 
 
 def check_hecke_relations_dense(m, tol=DEFAULT_TOL):
