@@ -143,7 +143,7 @@ def _sample_q(cfg, rng):
             return q
 
 
-def _separated(cfg, seed, margin=_MARGIN):
+def _separated(cfg, seed):
     """Numeric version of the configuration assumptions: the four base
     points stay apart, their q^2 shifts avoid the bases, nothing lands
     on +-1, and theta stays clear of the bases and small q-powers.
@@ -154,7 +154,7 @@ def _separated(cfg, seed, margin=_MARGIN):
     """
     q = seed.q
     for orbit, z in seed.orbit_bases.items():
-        if cfg.hyperplane_center(orbit) is None:  # a paired orbit
+        if cfg.invert_site(orbit, 0)[0] != orbit:  # a paired orbit
             zz = z * z
             if any(abs(zz - q**j) < _DENOM_MARGIN for j in range(-32, 33)):
                 return False
@@ -162,24 +162,24 @@ def _separated(cfg, seed, margin=_MARGIN):
     bases = [a1, 1 / a1, a2, 1 / a2]
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(bases[i] - bases[j]) < margin:
+            if abs(bases[i] - bases[j]) < _MARGIN:
                 return False
     twelve = list(bases)
     for b in bases:
         for shift in (q**2, q**-2):
             twelve.append(b * shift)
-            if any(abs(b * shift - c) < margin for c in bases):
+            if any(abs(b * shift - c) < _MARGIN for c in bases):
                 return False
-    if any(abs(z - 1) < margin or abs(z + 1) < margin for z in twelve):
+    if any(abs(z - 1) < _MARGIN or abs(z + 1) < _MARGIN for z in twelve):
         return False
     th = seed.theta_value
-    if abs(th - 1) < margin or abs(th + 1) < margin:
+    if abs(th - 1) < _MARGIN or abs(th + 1) < _MARGIN:
         return False
-    if any(abs(th - b) < margin for b in bases):
+    if any(abs(th - b) < _MARGIN for b in bases):
         return False
     for m in (1, 2):
         for s in (q**m, q**-m):
-            if abs(th - s) < margin or abs(th + s) < margin:
+            if abs(th - s) < _MARGIN or abs(th + s) < _MARGIN:
                 return False
     return True
 
@@ -189,17 +189,17 @@ def _pinned(cfg, bases, orbit, exp, q, rng):
     else None (a paired orbit's base is free).
 
     The integral base is 1.  A self-inverse orbit's base b must satisfy
-    b^2 q^center = 1 (res_to_complex), so it is pinned to +-q^-c, c the
-    orbit's hyperplane_center; its sign is drawn here, once per orbit,
-    and the base is recorded in bases.
+    b^2 q^center = 1 (res_to_complex), so it is pinned to +-q^-c, 2c the
+    center invert_site reflects through; its sign is drawn here, once
+    per orbit, and the base is recorded in bases.
     """
     if orbit == INTEGRAL_ORBIT:
         return q**exp
-    c = cfg.hyperplane_center(orbit)
-    if c is None:
+    partner, center = cfg.invert_site(orbit, 0)
+    if partner != orbit:
         return None
     if orbit not in bases:
-        bases[orbit] = rng.choice((1, -1)) * q ** -c
+        bases[orbit] = rng.choice((1, -1)) * q ** -(center // 2)
     return bases[orbit] * q**exp
 
 
@@ -246,7 +246,7 @@ def make_seed(cfg, seed=None):
             if _pinned(cfg, bases, ot, ct, q, rng) is None:
                 bases[ot] = _sample_annulus(rng)
         for orbit in list(bases):
-            partner = cfg.invert_orbit(orbit)
+            partner = cfg.invert_site(orbit, 0)[0]
             if partner != orbit:
                 bases[partner] = 1 / bases[orbit]
         if not (_in_annulus(q0) and _in_annulus(qn)):

@@ -11,7 +11,12 @@ through a declared center (`SelfInverse`).
 A Residue is a pair (orbit, exponent).  Exponents are reduced modulo 2e
 on construction when e is finite, so residues compare by plain equality;
 residues on different orbits are simply unequal.  The reserved orbit
-name "q" denotes the integral lattice, whose base point is 1 = q^0.
+name "q" denotes the integral lattice, whose base point is 1 = q^0 and
+which is self-inverse through 0.
+
+ParamConfig answers the lattice questions: residue, invert_site (every
+inversion), on_hyperplane (a wall is a self-inverse residue, the value
++-1) and marker_label_at.
 
 Configurations are plain frozen dataclasses; `parse_config` /
 `config_to_obj` convert to and from the strict JSON form, and
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -52,6 +58,9 @@ INTEGRAL_ORBIT = "q"
 # Default residual tolerance of the calibrated relation checks; defined
 # here, away from numpy, so that the command-line parser can show it.
 DEFAULT_TOL = 1e-8
+
+# How far res_to_complex lets a value miss an identity it must satisfy.
+_VALUE_TOL = 1e-9
 
 # Points declared in a configuration.
 POINT_NAMES = ("alpha1", "alpha2", "theta")
@@ -118,50 +127,20 @@ class ParamConfig:
     points: Mapping[str, PointSpec] = field(default_factory=dict)
     inversions: Mapping[str, Inversion] = field(default_factory=dict)
 
-    # -- basic structure ------------------------------------------------
-
-    @property
-    def period(self):
-        """2e for finite e, else None."""
-        return None if self.e is None else 2 * self.e
-
-    def _inversion_of(self, orbit):
-        if orbit == INTEGRAL_ORBIT:
-            return SelfInverse(0)
-        inv = self.inversions.get(orbit)
-        if inv is None:
-            raise ValueError("orbit %r has no declared inversion" % orbit)
-        return inv
-
-    def hyperplane_center(self, orbit):
-        """Reflection center exponent for integral-like orbits, else None.
-
-        The integral lattice reflects through 0.  A self-inverse formal
-        orbit behaves like an integral lattice shifted so that the point
-        playing the role of q^0 sits at center/2.  Paired orbits carry
-        no hyperplanes at all.
-        """
-        inv = self._inversion_of(orbit)
-        if isinstance(inv, SelfInverse):
-            return inv.center // 2
-        return None
-
     # -- residues -------------------------------------------------------
 
     def residue(self, orbit, exp):
         if orbit != INTEGRAL_ORBIT and orbit not in self.inversions:
             raise ValueError("unknown orbit %r" % orbit)
-        p = self.period
-        if p is not None:
-            exp %= p
+        if self.e is not None:
+            exp %= 2 * self.e
         return Residue(orbit, exp)
 
     def point_site(self, label):
         """Raw (orbit, position) of one of the six special points: not
         reduced mod 2e, so it can anchor walks on the integer lattice."""
         if label.endswith("_inv"):
-            orbit, x = self.point_site(label[:-4])
-            return self.invert_orbit(orbit), self.raw_invert_position(orbit, x)
+            return self.invert_site(*self.point_site(label[:-4]))
         spec = self.points.get(label)
         if spec is None:
             raise ValueError("unknown point label %r" % label)
@@ -177,40 +156,32 @@ class ParamConfig:
         """Multiply by q^(2*steps)."""
         return self.residue(r.orbit, r.exp + 2 * steps)
 
+    def invert_site(self, orbit, x):
+        """Raw (orbit, position) of the inverse of (orbit, x), not reduced
+        mod 2e: a self-inverse orbit (the integral one through 0) reflects
+        through its center, a paired orbit maps x to -x on its partner."""
+        if orbit == INTEGRAL_ORBIT:
+            return orbit, -x
+        inv = self.inversions.get(orbit)
+        if inv is None:
+            raise ValueError("orbit %r has no declared inversion" % orbit)
+        if isinstance(inv, SelfInverse):
+            return orbit, inv.center - x
+        return inv.partner, -x
+
     def res_invert(self, r):
-        inv = self._inversion_of(r.orbit)
-        if isinstance(inv, SelfInverse):
-            return self.residue(r.orbit, inv.center - r.exp)
-        return self.residue(inv.partner, -r.exp)
-
-    def raw_invert_position(self, orbit, x):
-        """Unreduced lattice coordinate of the inverse of (orbit, x)."""
-        inv = self._inversion_of(orbit)
-        if isinstance(inv, SelfInverse):
-            return inv.center - x
-        return -x
-
-    def invert_orbit(self, orbit):
-        inv = self._inversion_of(orbit)
-        if isinstance(inv, SelfInverse):
-            return orbit
-        return inv.partner
+        return self.residue(*self.invert_site(r.orbit, r.exp))
 
     # -- lattice geometry ------------------------------------------------
 
     def on_hyperplane(self, orbit, x):
-        """True when position x of the orbit's lattice lies on a wall.
-
-        Walls sit where the lattice value is +-1: at multiples of e from
-        the reflection center for finite e, and only at the center for
-        e infinite.  Paired formal orbits have no walls.
-        """
-        c = self.hyperplane_center(orbit)
-        if c is None:
-            return False
-        if self.e is None:
-            return x == c
-        return (x - c) % self.e == 0
+        """True when position x of the orbit's lattice lies on a wall, a
+        residue equal to its own inverse: the value +-1.  A paired orbit
+        has none; a self-inverse one (the integral lattice through 0) has
+        them at multiples of e from half its center, or only there when
+        e is infinite."""
+        r = self.residue(orbit, x)
+        return self.res_invert(r) == r
 
     @cached_property
     def _markers(self):
@@ -406,21 +377,35 @@ def validate_config(cfg):
     if out:
         return out
 
-    # Standing assumptions.  The four base points alpha_i^{+-1} must be
-    # pairwise distinct, their q^{+-2}-shifts must avoid the four bases,
-    # and none of the twelve resulting points may equal +-1.  (Shifted
-    # points are allowed to meet each other: the graded theory is about
-    # exactly such collisions.)  theta avoids +-1, +-q, +-q^2, the alphas
-    # and q^2/alpha1: both roots of the even-n blob kappa [theta/q] - [alpha1/q].
+    points = {label: cfg.point_residue(label) for label in MARKER_LABELS}
+    out = _standing_violations(cfg, points)
+    signed = " for one sign of a self-inverse orbit's base"
+    for images in _integral_images(cfg, points):
+        out += [v + signed for v in _standing_violations(cfg, images)
+                if v not in out and v + signed not in out]
+    return out
+
+
+def _standing_violations(cfg, points):
+    """The standing assumptions on the special points {label: Residue}.
+
+    The four base points alpha_i^{+-1} must be pairwise distinct, their
+    q^{+-2}-shifts must avoid the four bases, and none of the twelve
+    resulting points may equal +-1.  (Shifted points are allowed to meet
+    each other: the graded theory is about exactly such collisions.)
+    theta avoids +-1, +-q, +-q^2, the alphas and q^2/alpha1: both roots
+    of the even-n blob kappa [theta/q] - [alpha1/q].
+    """
+    out = []
     bases = {}
     for name in ALPHA_LABELS:
-        r = cfg.point_residue(name)
+        r = points[name]
         if r in bases:
             out.append("special points collide: %s equals %s" % (name, bases[r]))
         else:
             bases[r] = name
     for name in ALPHA_LABELS:
-        r = cfg.point_residue(name)
+        r = points[name]
         if cfg.on_hyperplane(r.orbit, r.exp):
             out.append("special point %s equals +-1" % name)
         for l in (-1, 1):
@@ -431,13 +416,13 @@ def validate_config(cfg):
             if hit is not None:
                 out.append("special points collide: %s*q^%d equals %s" % (name, 2 * l, hit))
 
-    theta = cfg.point_residue("theta")
+    theta = points["theta"]
     if cfg.on_hyperplane(theta.orbit, theta.exp):
         out.append("theta equals +-1")
     for name in ALPHA_LABELS:
-        if theta == cfg.point_residue(name):
+        if theta == points[name]:
             out.append("theta equals %s" % name)
-    if theta == cfg.res_shift(cfg.point_residue("alpha1_inv"), 1):
+    if theta == cfg.res_shift(points["alpha1_inv"], 1):
         out.append("theta equals q^2/alpha1")
     if (cfg.on_hyperplane(theta.orbit, theta.exp - 1)
             or cfg.on_hyperplane(theta.orbit, theta.exp - 2)):
@@ -445,25 +430,46 @@ def validate_config(cfg):
     return out
 
 
+def _integral_images(cfg, points):
+    """At finite e, the special points once per choice of the signs that
+    calibrated.make_seed draws for the self-inverse formal orbits: x on
+    such an orbit, with center 2c, has the value +-q^(x - c), so it moves
+    to the integral point x - c or (as q^e = -1) x - c + e."""
+    centers = {}
+    for r in points.values():
+        orbit, center = cfg.invert_site(r.orbit, 0)
+        if orbit == r.orbit != INTEGRAL_ORBIT:
+            centers[orbit] = center // 2
+    if cfg.e is None or not centers:
+        return
+    for signs in product((0, cfg.e), repeat=len(centers)):
+        shift = dict(zip(centers, signs))
+        yield {label: cfg.residue(INTEGRAL_ORBIT,
+                                  r.exp - centers[r.orbit] + shift[r.orbit])
+               if r.orbit in centers else r
+               for label, r in points.items()}
+
+
 # -- numeric evaluation --------------------------------------------------
 
 
-def res_to_complex(cfg, r, q, orbit_bases=None, tol=1e-9):
+def res_to_complex(cfg, r, q, orbit_bases=None):
     """Complex value of a residue for concrete q and orbit base values.
 
     orbit_bases maps formal orbit names to nonzero complex numbers; the
     integral orbit has implicit base 1.  For finite e the value of q
     must have multiplicative order exactly 2e, otherwise distinct
     residues would collide; a ValueError is raised in that case, as it
-    is for missing or inconsistent orbit bases.
+    is for missing or inconsistent orbit bases: the base of an orbit
+    times the value at invert_site(orbit, 0) must be 1.
     """
     q = complex(q)
     if cfg.e is not None:
         p = 2 * cfg.e
-        if abs(q**p - 1) > tol:
+        if abs(q**p - 1) > _VALUE_TOL:
             raise ValueError("q does not satisfy q^%d = 1" % p)
         for m in range(1, p):
-            if abs(q**m - 1) <= tol:
+            if abs(q**m - 1) <= _VALUE_TOL:
                 raise ValueError("q has multiplicative order %d < %d" % (m, p))
     if r.orbit == INTEGRAL_ORBIT:
         base = 1.0 + 0.0j
@@ -473,16 +479,9 @@ def res_to_complex(cfg, r, q, orbit_bases=None, tol=1e-9):
         base = complex(orbit_bases[r.orbit])
         if base == 0:
             raise ValueError("orbit base for %r must be nonzero" % r.orbit)
-        inv = cfg.inversions.get(r.orbit)
-        if isinstance(inv, Paired) and orbit_bases and inv.partner in orbit_bases:
-            other = complex(orbit_bases[inv.partner])
-            if abs(base * other - 1) > tol:
-                raise ValueError(
-                    "bases of paired orbits %r and %r are not inverse" % (r.orbit, inv.partner)
-                )
-        if isinstance(inv, SelfInverse):
-            if abs(base * base * q**inv.center - 1) > tol:
-                raise ValueError(
-                    "base of self-inverse orbit %r is inconsistent with its center" % r.orbit
-                )
+        other, x = cfg.invert_site(r.orbit, 0)
+        if other in orbit_bases and abs(
+                base * complex(orbit_bases[other]) * q**x - 1) > _VALUE_TOL:
+            raise ValueError("base of orbit %r is not inverse to that of %r "
+                             "times q^%d" % (r.orbit, other, x))
     return base * q**r.exp

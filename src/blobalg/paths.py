@@ -9,7 +9,10 @@ and the residue a step reads are tableaux.walk_start and step_residue.
 Here live the tile diagram between a path and its shape's distinguished
 path, the degree read off the tiles, the reduced word peeled off them in
 a canonical order, the same degree pushed through the residue sequence
-by that word, and the ladder rule.
+by that word, and the ladder rule.  A tile has no type of its own: it is
+the plain tuple (xc, yc, side), its top vertex at x = xc on row
+yc - 1 and the side ("L" or "R") of the distinguished path it lies on;
+tile_degree reads only its x and whether it touches the marker row.
 
 walk_tables builds what the walks of each shape read (ShapeTables)
 once per (configuration, n), with residues interned as small ids.
@@ -33,7 +36,6 @@ from typing import NamedTuple, Optional
 from .params import ALPHA_LABELS
 from .tableaux import (
     Shape,
-    box_contents,
     enumerate_std,
     is_valid_shape,
     max_negatives,
@@ -46,7 +48,6 @@ from .tableaux import (
 
 __all__ = [
     "residue_class_tableaux",
-    "Tile",
     "ShapeTables",
     "walk_tables",
     "tile_degree",
@@ -76,24 +77,6 @@ def residue_class_tableaux(cfg, n, t):
 
 # -- tiles and degrees ---------------------------------------------------
 
-class Tile(NamedTuple):
-    xc: int
-    yc: int
-    side: str  # "L" or "R" of the distinguished path
-
-    @property
-    def top_x(self):
-        return self.xc
-
-    @property
-    def top_y(self):
-        return self.yc - 1
-
-    @property
-    def content(self):
-        return self.yc - 1
-
-
 class ShapeTables(NamedTuple):
     """What the walks of the tableaux of one (n, shape) read, built by
     walk_tables for every shape of n at once.
@@ -107,7 +90,8 @@ class ShapeTables(NamedTuple):
     over a span holding every vertex the walks of its shapes reach,
     shared by those shapes.  seq is t_lambda's residue sequence as ids
     and pairs the block invariant: the sorted ids min(c, c^-1) over the
-    box contents c.  Ids are interned once per (configuration, n), so
+    box contents c, read off seq as each res_i is a content or its
+    inverse.  Ids are interned once per (configuration, n), so
     the ids of different shapes compare directly.  The tables shared by
     all shapes map an id to the id of its inverse (inverse) and to the
     degree of s_0 acting on it (s0); near holds the id pairs (a, b) with
@@ -163,19 +147,21 @@ def _build_walk_tables(cfg, n):
             tuple(intern(step_residue(cfg, orbit, x0 + 2 * r - 1, 0, False))
                   for r in range(max_negatives(n, shape) + 1)),
             tuple(intern(r) for r in residue_seq(cfg, n, t0)),
-            tuple(sorted(min(intern(c), intern(cfg.res_invert(c)))
-                         for c in box_contents(cfg, n, shape)[1:])),
         )
     res = list(ids)
     inverse = tuple(ids[cfg.res_invert(r)] for r in res)
-    alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
-    s0 = tuple(-2 if inverse[i] == i else 1 if r in alphas else 0
+    # s_0 scores -2 on a wall (a self-inverse residue), +1 on an alpha
+    s0 = tuple(-2 if inverse[i] == i
+               else 1 if cfg._markers.get(r) in ALPHA_LABELS else 0
                for i, r in enumerate(res))
     near = frozenset((i, ids[s]) for i, r in enumerate(res)
                      for s in (cfg.res_shift(r, 1), cfg.res_shift(r, -1))
                      if s in ids)
-    return {shape: ShapeTables(*part, inverse, s0, near)
-            for shape, part in parts.items()}
+    # pairs: each res_i of seq is a box content or its inverse
+    return {shape: ShapeTables(*head, seq,
+                               tuple(sorted(min(i, inverse[i]) for i in seq)),
+                               inverse, s0, near)
+            for shape, (*head, seq) in parts.items()}
 
 
 def _walk(cfg, n, t):
@@ -195,24 +181,20 @@ def _positions(x0, n, negs):
     return xs
 
 
-def tile_degree(cfg, orbit, tile):
-    """Degree contribution of one tile, read off its top vertex.
+def tile_degree(cfg, orbit, x, marker_row):
+    """Degree contribution of one tile, read off its top vertex at x.
 
-    Tiles touching the marker row score by the marker they touch; lower
-    tiles score -2 on a wall and +1 next to one.
+    Tiles touching the marker row (row 1) score by the marker they
+    touch; lower tiles score -2 on a wall and +1 next to one.
     """
-    x = tile.top_x
-    if tile.top_y == 0:
-        label = cfg.marker_label_at(orbit, x)
-        if label in ALPHA_LABELS:
-            return 1
-        if label is not None:
-            return 0  # a theta-type marker
-        return -2 if cfg.on_hyperplane(orbit, x) else 0
+    label = cfg.marker_label_at(orbit, x) if marker_row else None
+    if label is not None:
+        return int(label in ALPHA_LABELS)  # a theta-type marker scores 0
     if cfg.on_hyperplane(orbit, x):
         return -2
-    beside = int(cfg.on_hyperplane(orbit, x - 1)) + int(cfg.on_hyperplane(orbit, x + 1))
-    return 1 if beside == 1 else 0
+    if marker_row:
+        return 0
+    return int(cfg.on_hyperplane(orbit, x - 1) + cfg.on_hyperplane(orbit, x + 1) == 1)
 
 
 def degree_tiles(cfg, n, t):
@@ -245,7 +227,7 @@ def row_degrees(cfg, orbit, lo, hi):
     for yc in (1, 2):
         acc = {lo - 2: 0, lo - 1: 0}   # acc[x]: tiles at x, x - 2, ... >= lo
         for x in range(lo, hi + 1):
-            acc[x] = acc[x - 2] + tile_degree(cfg, orbit, Tile(x, yc, "L"))
+            acc[x] = acc[x - 2] + tile_degree(cfg, orbit, x, yc == 1)
         sums.append(acc)
     first, below = sums
 
@@ -291,7 +273,7 @@ def tau_order(cfg, n, t):
     drops it; reduced_word and degree_klr read _tile_order directly.
     """
     tab, xs_t = _walk(cfg, n, t)
-    return [Tile(yc + k, yc, side)
+    return [(yc + k, yc, side)
             for side, k, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
 
 
@@ -340,15 +322,13 @@ def max_shape(cfg, n, orbit, x0, xn) -> Optional[Shape]:
     its mirror) presents; it reads only the two ends.
 
     A walk with x0 > xn is mirrored through inversion first: it then runs
-    on invert_orbit(orbit) between the raw inverses of its ends.  Walking
+    between the sites invert_site gives for its ends.  Walking
     right from the start, the first alpha-type marker decides; if the
     shape it implies is not admissible the answer can only be the zero
     shape, checked at the far endpoint.
     """
     if x0 > xn:
-        return max_shape(cfg, n, cfg.invert_orbit(orbit),
-                         cfg.raw_invert_position(orbit, x0),
-                         cfg.raw_invert_position(orbit, xn))
+        (orbit, x0), (_, xn) = cfg.invert_site(orbit, x0), cfg.invert_site(orbit, xn)
     m = 0
     while xn - x0 - 2 * m >= 1:
         label = cfg.marker_label_at(orbit, x0 + 1 + 2 * m)
@@ -358,14 +338,12 @@ def max_shape(cfg, n, orbit, x0, xn) -> Optional[Shape]:
                 return shape
             break
         m += 1
-    if n % 2 == 0:
-        if cfg.marker_label_at(orbit, xn + 1) == "theta":
-            return Shape(0, "theta")
-        if cfg.marker_label_at(orbit, xn - 1) == "theta_inv":
-            return Shape(0, "theta")
-    elif cfg.marker_label_at(orbit, xn) in ("theta", "theta_inv"):
-        return Shape(0, "theta")
-    return None
+    if n % 2:
+        theta = cfg.marker_label_at(orbit, xn) in ("theta", "theta_inv")
+    else:
+        theta = (cfg.marker_label_at(orbit, xn + 1) == "theta"
+                 or cfg.marker_label_at(orbit, xn - 1) == "theta_inv")
+    return Shape(0, "theta") if theta else None
 
 
 def walkers(cfg, n):

@@ -16,10 +16,11 @@ size by p-1 (not bounded for (0, theta)).
 
 Residues: the content of box j is marker * q^(2(j-p)), and res_i(t) is
 the content of the box holding +-i, inverted when the entry is negative.
-
-The same residues are read off a walk, SE for +i and SW for -i: its
-start (walk_start) and the residue each step reads (step_residue) live
-here, for paths.walk_tables (and through it decomp) and for cstd.
+They are computed one way only, off the tableau's walk, SE for +i and
+SW for -i: its start (walk_start) and the residue each step reads
+(step_residue) serve residue_seq, cstd and paths.walk_tables (and
+through it decomp).  The box-content form is the test oracle
+(``box_contents`` in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "enumerate_std",
     "t_lambda",
     "is_standard",
-    "box_contents",
     "residue_seq",
     "walk_start",
     "step_residue",
@@ -183,24 +183,16 @@ def is_standard(n, shape, entries):
     return sum(1 for v in entries if v < 0) <= max_negatives(n, shape)
 
 
-def box_contents(cfg, n, shape):
-    """Content residues of boxes 1..n (index 0 unused)."""
-    pr = cfg.point_residue(shape.marker)
-    p = bead(n, shape.k)
-    return [None] + [cfg.res_shift(pr, j - p) for j in range(1, n + 1)]
-
-
 def residue_seq(cfg, n, t):
-    """res_1(t), ..., res_n(t)."""
-    contents = box_contents(cfg, n, t.shape)
-    by_value = {}
-    for box, v in enumerate(t.entries, start=1):
-        by_value[abs(v)] = (box, v > 0)
+    """res_1(t), ..., res_n(t), read off t's walk: from walk_start, step
+    i is SE for +i and SW for -i and reads step_residue."""
+    negs = t.negated_set()
+    orbit, x = walk_start(cfg, n, t.shape, len(negs))
     out = []
-    for i in range(1, n + 1):
-        box, positive = by_value[i]
-        r = contents[box]
-        out.append(r if positive else cfg.res_invert(r))
+    for step in range(1, n + 1):
+        se = step not in negs
+        out.append(step_residue(cfg, orbit, x, step, se))
+        x += 1 if se else -1
     return tuple(out)
 
 
@@ -228,7 +220,7 @@ def step_residue(cfg, orbit, x, step, se):
     SE, the inverse of (orbit, x - step) going SW."""
     if se:
         return cfg.residue(orbit, x + step)
-    return cfg.res_invert(cfg.residue(orbit, x - step))
+    return cfg.residue(*cfg.invert_site(orbit, x - step))
 
 
 def cstd(cfg, n, shape, target):

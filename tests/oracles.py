@@ -3,6 +3,10 @@ differentially tested against, and the objects that tests state
 criteria about but no command computes.
 
 The cstd oracle filters the full enumeration by residue sequence.  The
+wall oracle tests a position against the reflection center of its
+orbit, where ParamConfig.on_hyperplane asks whether the residue is its
+own inverse.  The residue oracle reads res_i(t) off the box contents
+(box_contents), where tableaux.residue_seq reads it off the walk.  The
 marker oracle compares a position with all six special points in turn,
 without ParamConfig.marker_label_at's lookup table.  The row
 degree oracle scores a tile row tile by tile.  The tableau statistics
@@ -55,9 +59,9 @@ from blobalg.params import (
     INTEGRAL_ORBIT,
     MARKER_LABELS,
     Formal,
+    SelfInverse,
 )
 from blobalg.paths import (
-    Tile,
     max_shape,
     residue_class_tableaux,
     tile_degree,
@@ -67,6 +71,7 @@ from blobalg.tableaux import (
     SHAPE_MARKERS,
     Tableau,
     _target_residues,
+    bead,
     cstd,
     enumerate_std,
     from_negated_set,
@@ -142,8 +147,7 @@ def realize(cfg, n, path):
 def negate(cfg, path):
     """Mirror the whole picture through inversion; residues persist."""
     return EmbeddedPath(
-        cfg.invert_orbit(path.orbit),
-        cfg.raw_invert_position(path.orbit, path.start),
+        *cfg.invert_site(path.orbit, path.start),
         tuple(not se for se in path.steps),
     )
 
@@ -301,6 +305,39 @@ def from_json_obj(obj):
 
 # -- reference implementations ------------------------------------------
 
+def on_hyperplane_center(cfg, orbit, x):
+    """Oracle for ParamConfig.on_hyperplane by the reflection center: a
+    paired orbit has no walls; the integral lattice (center 0) and a
+    self-inverse orbit with center 2c have them at x = c, and at finite
+    e at every x = c mod e."""
+    inv = SelfInverse(0) if orbit == INTEGRAL_ORBIT else cfg.inversions[orbit]
+    if not isinstance(inv, SelfInverse):
+        return False
+    c = inv.center // 2
+    if cfg.e is None:
+        return x == c
+    return (x - c) % cfg.e == 0
+
+
+def box_contents(cfg, n, shape):
+    """Content residues of boxes 1..n (index 0 unused): box j holds
+    marker * q^(2(j - p)), p the bead box."""
+    pr = cfg.point_residue(shape.marker)
+    p = bead(n, shape.k)
+    return [None] + [cfg.res_shift(pr, j - p) for j in range(1, n + 1)]
+
+
+def residue_seq_boxes(cfg, n, t):
+    """Oracle for tableaux.residue_seq: res_i(t) is the content of the
+    box holding +-i, inverted when the entry is negative."""
+    contents = box_contents(cfg, n, t.shape)
+    out = [None] * n
+    for box, v in enumerate(t.entries, start=1):
+        r = contents[box]
+        out[abs(v) - 1] = r if v > 0 else cfg.res_invert(r)
+    return tuple(out)
+
+
 def marker_label_at_loop(cfg, orbit, x):
     """Oracle for ParamConfig.marker_label_at: the first label in
     MARKER_LABELS whose residue is that of (orbit, x), or None."""
@@ -323,14 +360,15 @@ def row_degree(cfg, orbit, yc, a, b):
     diagram, tile by tile, for a walk whose vertex yc - 1 sits at x = a
     against a distinguished path at x = b."""
     lo, hi = min(a, b), max(a, b)
-    return sum(tile_degree(cfg, orbit, Tile(xc, yc, "L" if xc < b else "R"))
+    return sum(tile_degree(cfg, orbit, xc, yc == 1)
                for xc in range(lo + 1, hi, 2))
 
 
 def tiles_embedded(cfg, n, t):
-    """The tiles between the embedded paths of t and of its shape's
-    t_lambda, row by row: the tile diagram that paths.degree_tiles,
-    tau_order, reduced_word and degree_klr read off walk_tables."""
+    """The tiles (xc, yc, side) between the embedded paths of t and of
+    its shape's t_lambda, row by row: the tile diagram that
+    paths.degree_tiles, tau_order, reduced_word and degree_klr read off
+    walk_tables."""
     xs_t = positions(embed(cfg, n, t))
     xs_l = positions(embed(cfg, n, t_lambda(n, t.shape)))
     out = []
@@ -338,7 +376,7 @@ def tiles_embedded(cfg, n, t):
         a, b = xs_t[yc - 1], xs_l[yc - 1]
         lo, hi = min(a, b), max(a, b)
         for xc in range(lo + 1, hi, 2):
-            out.append(Tile(xc, yc, "L" if xc < b else "R"))
+            out.append((xc, yc, "L" if xc < b else "R"))
     return out
 
 
@@ -346,8 +384,8 @@ def degree_tiles_tilewise(cfg, n, t):
     """Oracle for paths.degree_tiles: tile_degree summed tile by tile
     over tiles_embedded."""
     orbit = embed(cfg, n, t).orbit
-    return sum(tile_degree(cfg, orbit, tile)
-               for tile in tiles_embedded(cfg, n, t))
+    return sum(tile_degree(cfg, orbit, xc, yc == 1)
+               for xc, yc, _ in tiles_embedded(cfg, n, t))
 
 
 def _linearize_scan(ts, before, key):
@@ -357,8 +395,8 @@ def _linearize_scan(ts, before, key):
     indeg = {u: 0 for u in ts}
     for u in ts:
         for v in ts:
-            if (u is not v and abs(u.xc - v.xc) == 1
-                    and abs(u.yc - v.yc) == 1 and before(u, v)):
+            if (abs(u[0] - v[0]) == 1 and abs(u[1] - v[1]) == 1
+                    and before(u, v)):
                 succ[u].append(v)
                 indeg[v] += 1
     heap = [(key(u), u) for u in ts if indeg[u] == 0]
@@ -380,12 +418,12 @@ def tau_order_scan(cfg, n, t):
     """Oracle for paths.tau_order: the same canonical removal order over
     tiles_embedded, adjacency by the pair scan."""
     ts = tiles_embedded(cfg, n, t)
-    left = [u for u in ts if u.side == "L"]
-    right = [u for u in ts if u.side == "R"]
+    left = [u for u in ts if u[2] == "L"]
+    right = [u for u in ts if u[2] == "R"]
     ordered = _linearize_scan(
-        left, lambda u, v: u.xc > v.xc, key=lambda u: (u.top_y, -u.xc))
+        left, lambda u, v: u[0] > v[0], key=lambda u: (u[1], -u[0]))
     ordered += _linearize_scan(
-        right, lambda u, v: u.xc < v.xc, key=lambda u: (-u.top_y, u.xc))
+        right, lambda u, v: u[0] < v[0], key=lambda u: (-u[1], u[0]))
     return ordered
 
 
@@ -396,8 +434,8 @@ def degree_klr_residues(cfg, n, t):
     seq = list(residue_seq(cfg, n, t_lambda(n, t.shape)))
     alphas = {cfg.point_residue(lbl) for lbl in ALPHA_LABELS}
     deg = 0
-    for u in tau_order_scan(cfg, n, t):
-        c = u.content
+    for _, yc, _ in tau_order_scan(cfg, n, t):
+        c = yc - 1
         if c == 0:
             r = seq[0]
             if cfg.res_invert(r) == r:

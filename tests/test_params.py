@@ -4,11 +4,15 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from blobalg import params as pm
 from blobalg.params import Formal, Integral, Paired, Residue, SelfInverse
 
-from oracles import marker_label_at_loop, orbits
+from conftest import valid_configs
+from oracles import marker_label_at_loop, on_hyperplane_center, orbits
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def test_residue_reduction_mod_2e(cfg_e5_formal):
@@ -131,6 +135,47 @@ def test_self_inverse_orbit_geometry():
     assert not cfg.on_hyperplane("S", 4)
     # alpha1 sits on a wall here, so this config cannot be valid
     assert pm.validate_config(cfg)
+
+
+def _walls_and_inversion_match_oracles(cfg):
+    # x over more than 2e either side, so every wall class shows twice
+    span = 2 * (cfg.e or 14) + 3
+    for orbit in sorted(orbits(cfg)):
+        for x in range(-span, span + 1):
+            assert cfg.on_hyperplane(orbit, x) == on_hyperplane_center(cfg, orbit, x), (
+                orbit, x)
+            site = cfg.invert_site(orbit, x)
+            assert cfg.invert_site(*site) == (orbit, x)
+            assert cfg.residue(*site) == cfg.res_invert(cfg.residue(orbit, x))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_walls_and_inversion_match_oracles(path):
+    _walls_and_inversion_match_oracles(pm.load_config(path))
+
+
+# fewer than half of the valid configurations valid_configs draws have a
+# self-inverse orbit, so this filter discards more than it keeps
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(valid_configs())
+def test_walls_and_inversion_match_oracles_on_self_inverse_configs(cfg):
+    assume(any(isinstance(inv, SelfInverse) for inv in cfg.inversions.values()))
+    _walls_and_inversion_match_oracles(cfg)
+
+
+def test_validate_self_inverse_points_as_q_powers():
+    # at e = 14, x on a self-inverse orbit with center 2c is +-q^(x - c):
+    # alpha2 = +-q^-7 here, so alpha2 or its inverse is q^7 = theta
+    # whichever sign a numeric seed draws
+    cfg = pm.make_config(
+        14,
+        {"alpha1": Integral(6), "alpha2": Formal("A", -6), "theta": Integral(7)},
+        {"A": SelfInverse(2)},
+    )
+    signed = " for one sign of a self-inverse orbit's base"
+    assert pm.validate_config(cfg) == ["theta equals alpha2_inv" + signed,
+                                       "theta equals alpha2" + signed]
 
 
 def test_validate_golden_configs(any_cfg):

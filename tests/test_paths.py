@@ -20,7 +20,6 @@ from blobalg.params import MARKER_LABELS, load_config
 from blobalg.tableaux import (
     Shape,
     Tableau,
-    box_contents,
     enumerate_std,
     from_negated_set,
     residue_seq,
@@ -33,6 +32,7 @@ from blobalg.tableaux import (
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
     EmbeddedPath,
+    box_contents,
     canonical_key,
     coxeter_length,
     degree_klr_residues,
@@ -46,6 +46,7 @@ from oracles import (
     positions,
     realize,
     reflect,
+    residue_seq_boxes,
     row_degree,
     sim_class_tableaux,
     sim_neighbors,
@@ -66,10 +67,14 @@ def all_tableaux(n):
 
 @pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
 def test_path_residues_match_tableau_residues(cfg_name):
+    # the walk form of residue_seq against the embedded path and the box
+    # contents
     cfg = CONFIG_FACTORIES[cfg_name]()
     for n in range(1, 7):
         for t in all_tableaux(n):
-            assert path_residues(cfg, embed(cfg, n, t)) == residue_seq(cfg, n, t)
+            res = residue_seq(cfg, n, t)
+            assert path_residues(cfg, embed(cfg, n, t)) == res
+            assert residue_seq_boxes(cfg, n, t) == res
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
@@ -225,7 +230,7 @@ def _statistics_match_oracles(cfg, n):
         assert degree_tiles(cfg, n, t) == degree_tiles_tilewise(cfg, n, t), (n, t)
         order = tau_order_scan(cfg, n, t)
         assert tau_order(cfg, n, t) == order, (n, t)
-        assert reduced_word(cfg, n, t) == [u.content for u in reversed(order)], (n, t)
+        assert reduced_word(cfg, n, t) == [yc - 1 for _, yc, _ in reversed(order)], (n, t)
         assert degree_klr(cfg, n, t) == degree_klr_residues(cfg, n, t), (n, t)
 
 

@@ -40,7 +40,6 @@ UNREACHED = {
     "paths.tau_order": _TRACED,
     "cli.main": "the console-script entry point, sys.exit(run())",
     "params.Residue.__repr__": "a dunder: how residues print in errors",
-    "paths.Tile.content": "a property of a data type: the tile's letter",
     "calibrated.Seminormal.nbytes": "the O(dim) storage of a generator",
     "decomp.GradedMatrix.identity": _ACCEPTANCE,
     "decomp.GradedMatrix.entry": _ACCEPTANCE,

@@ -7,7 +7,6 @@ from blobalg.tableaux import (
     Shape,
     Tableau,
     bead,
-    box_contents,
     count_std,
     cstd,
     enumerate_std,
@@ -25,7 +24,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES
-from oracles import cstd_brute, shape_sort_key, weyl_act
+from oracles import box_contents, cstd_brute, shape_sort_key, weyl_act
 
 
 def test_shapes_small():
