@@ -2,10 +2,12 @@
 
 A numeric seed fixes complex values for q, the boundary parameters q0
 and qn, and a base value for every formal orbit, consistently with a
-parameter configuration.  Each shape then yields matrices acting on
-the standard tableaux of the shape: T_0, T_1, ..., T_{n-1} by one
-seminormal rule, T_0v from X_1 = T_0v T_0, T_n by conjugation and the
-commuting family X_1, ..., X_n recursively.  The seed is non-generic
+parameter configuration, and its six special points meet the standing
+assumptions that validate_config checks (params.standing_violations).
+Each shape then yields matrices acting on the standard tableaux of the
+shape: T_0, T_1, ..., T_{n-1} by one seminormal rule, T_0v from X_1 =
+T_0v T_0, T_n by conjugation and the commuting family X_1, ..., X_n
+recursively.  The seed is non-generic
 for a shape when one of its seminormal denominators falls below 1e-8.
 Relation checkers report one residual per relation and the largest of
 them per check, against a tolerance of their own (default 1e-8).
@@ -51,7 +53,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .params import DEFAULT_TOL, INTEGRAL_ORBIT, res_to_complex
+from .params import (DEFAULT_TOL, INTEGRAL_ORBIT, MARKER_LABELS, res_to_complex,
+                     standing_violations)
 from .tableaux import count_std, enumerate_std, residue_seq, shapes
 
 __all__ = [
@@ -144,44 +147,26 @@ def _sample_q(cfg, rng):
 
 
 def _separated(cfg, seed):
-    """Numeric version of the configuration assumptions: the four base
-    points stay apart, their q^2 shifts avoid the bases, nothing lands
-    on +-1, and theta stays clear of the bases and small q-powers.
+    """Whether the seed meets the standing assumptions of
+    params.standing_violations on the values of the six special points,
+    with points within _MARGIN of each other, or of +-1, counted as
+    equal.
 
     Paired orbit bases must additionally keep their squares away from
     small q-powers: a near miss there puts a tableau denominator close
     to zero and inflates every residual downstream.
     """
     q = seed.q
-    for orbit, z in seed.orbit_bases.items():
-        if cfg.invert_site(orbit, 0)[0] != orbit:  # a paired orbit
-            zz = z * z
-            if any(abs(zz - q**j) < _DENOM_MARGIN for j in range(-32, 33)):
-                return False
-    a1, a2 = seed.alpha1, seed.alpha2
-    bases = [a1, 1 / a1, a2, 1 / a2]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(bases[i] - bases[j]) < _MARGIN:
-                return False
-    twelve = list(bases)
-    for b in bases:
-        for shift in (q**2, q**-2):
-            twelve.append(b * shift)
-            if any(abs(b * shift - c) < _MARGIN for c in bases):
-                return False
-    if any(abs(z - 1) < _MARGIN or abs(z + 1) < _MARGIN for z in twelve):
+    points = {label: residue_value(cfg, seed, cfg.point_residue(label))
+              for label in MARKER_LABELS}
+    if standing_violations(points, lambda z, k: z * q**k,
+                           lambda z, w: abs(z - w) < _MARGIN,
+                           lambda z: abs(z - 1) < _MARGIN or abs(z + 1) < _MARGIN):
         return False
-    th = seed.theta_value
-    if abs(th - 1) < _MARGIN or abs(th + 1) < _MARGIN:
-        return False
-    if any(abs(th - b) < _MARGIN for b in bases):
-        return False
-    for m in (1, 2):
-        for s in (q**m, q**-m):
-            if abs(th - s) < _MARGIN or abs(th + s) < _MARGIN:
-                return False
-    return True
+    return not any(abs(z * z - q**j) < _DENOM_MARGIN
+                   for orbit, z in seed.orbit_bases.items()
+                   if cfg.invert_site(orbit, 0)[0] != orbit  # a paired orbit
+                   for j in range(-32, 33))
 
 
 def _pinned(cfg, bases, orbit, exp, q, rng):
@@ -237,6 +222,12 @@ def make_seed(cfg, seed=None):
         elif a2 is not None:
             qn = _sample_annulus(rng)
             q0 = -a2 * qn
+            bases[o1] = q0 * qn * q**-c1
+        elif o2 == cfg.invert_site(o1, 0)[0]:
+            # partner orbits: alpha1*alpha2 = -q0^2 does not involve the
+            # free base
+            q0 = sign * cmath.sqrt(-(q**c1) * q**c2)
+            qn = _sample_annulus(rng)
             bases[o1] = q0 * qn * q**-c1
         else:
             q0, qn = _sample_annulus(rng), _sample_annulus(rng)

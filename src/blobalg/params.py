@@ -21,11 +21,15 @@ inversion), on_hyperplane (a wall is a self-inverse residue, the value
 Configurations are plain frozen dataclasses; `parse_config` /
 `config_to_obj` convert to and from the strict JSON form, and
 `validate_config` returns a list of violations (empty means valid).
+The standing assumptions on alpha1, alpha2 and theta are stated once,
+in `standing_violations`: validate_config evaluates it on residues,
+calibrated.make_seed on the numeric values of a seed.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -50,6 +54,7 @@ __all__ = [
     "config_to_obj",
     "load_config",
     "validate_config",
+    "standing_violations",
     "res_to_complex",
 ]
 
@@ -377,18 +382,25 @@ def validate_config(cfg):
     if out:
         return out
 
+    # residues: equal as residues, a wall where on_hyperplane says so
     points = {label: cfg.point_residue(label) for label in MARKER_LABELS}
-    out = _standing_violations(cfg, points)
+    rules = (lambda r, k: cfg.residue(r.orbit, r.exp + k), operator.eq,
+             lambda r: cfg.on_hyperplane(r.orbit, r.exp))
+    out = standing_violations(points, *rules)
     signed = " for one sign of a self-inverse orbit's base"
     for images in _integral_images(cfg, points):
-        out += [v + signed for v in _standing_violations(cfg, images)
+        out += [v + signed for v in standing_violations(images, *rules)
                 if v not in out and v + signed not in out]
     return out
 
 
-def _standing_violations(cfg, points):
-    """The standing assumptions on the special points {label: Residue}.
+def standing_violations(points, shift, same, wall):
+    """The standing assumptions on the special points, the one statement
+    of them: validate_config evaluates it on residues and
+    calibrated.make_seed on the complex values of a numeric seed.
 
+    points maps each of MARKER_LABELS to a point, shift(z, k) is z*q^k,
+    same(z, w) says that two points coincide and wall(z) that z is +-1.
     The four base points alpha_i^{+-1} must be pairwise distinct, their
     q^{+-2}-shifts must avoid the four bases, and none of the twelve
     resulting points may equal +-1.  (Shifted points are allowed to meet
@@ -397,35 +409,31 @@ def _standing_violations(cfg, points):
     of the even-n blob kappa [theta/q] - [alpha1/q].
     """
     out = []
-    bases = {}
+    for i, name in enumerate(ALPHA_LABELS):
+        hit = next((b for b in ALPHA_LABELS[:i] if same(points[b], points[name])), None)
+        if hit is not None:
+            out.append("special points collide: %s equals %s" % (name, hit))
     for name in ALPHA_LABELS:
-        r = points[name]
-        if r in bases:
-            out.append("special points collide: %s equals %s" % (name, bases[r]))
-        else:
-            bases[r] = name
-    for name in ALPHA_LABELS:
-        r = points[name]
-        if cfg.on_hyperplane(r.orbit, r.exp):
+        z = points[name]
+        if wall(z):
             out.append("special point %s equals +-1" % name)
         for l in (-1, 1):
-            shifted = cfg.res_shift(r, l)
-            if cfg.on_hyperplane(shifted.orbit, shifted.exp):
+            shifted = shift(z, 2 * l)
+            if wall(shifted):
                 out.append("special point %s*q^%d equals +-1" % (name, 2 * l))
-            hit = bases.get(shifted)
+            hit = next((b for b in ALPHA_LABELS if same(points[b], shifted)), None)
             if hit is not None:
                 out.append("special points collide: %s*q^%d equals %s" % (name, 2 * l, hit))
 
     theta = points["theta"]
-    if cfg.on_hyperplane(theta.orbit, theta.exp):
+    if wall(theta):
         out.append("theta equals +-1")
     for name in ALPHA_LABELS:
-        if theta == points[name]:
+        if same(theta, points[name]):
             out.append("theta equals %s" % name)
-    if theta == cfg.res_shift(points["alpha1_inv"], 1):
+    if same(theta, shift(points["alpha1_inv"], 2)):
         out.append("theta equals q^2/alpha1")
-    if (cfg.on_hyperplane(theta.orbit, theta.exp - 1)
-            or cfg.on_hyperplane(theta.orbit, theta.exp - 2)):
+    if wall(shift(theta, -1)) or wall(shift(theta, -2)):
         out.append("theta equals +-q or +-q^2")
     return out
 

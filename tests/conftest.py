@@ -8,7 +8,8 @@ configuration keeps every special point on its own orbit so that
 nothing ever collides.
 
 ``valid_configs`` is a hypothesis strategy of random configurations
-beyond these six, kept only when validate_config finds no violation.
+beyond these six, kept only when validate_config finds no violation;
+a formal point may sit on an orbit or on its partner.
 """
 
 import os
@@ -86,15 +87,16 @@ CONFIG_FACTORIES = {
 }
 
 
-_ORBITS = ("A", "B")
+_ORBITS = ("A", "B", "A*")
 
 
 @st.composite
 def valid_configs(draw):
     """A random configuration that passes validate_config: e finite
-    (3..12) or infinite; each point integral or on one of two formal
-    orbits, each orbit paired with a partner or self-inverse about an
-    even center."""
+    (3..12) or infinite; each point integral or on one of the formal
+    orbits A, B and A*, each orbit paired with a partner or self-inverse
+    about an even center.  A point on A*, the partner orbit of A, forces
+    A to be paired with it."""
     e = draw(st.one_of(st.none(), st.integers(min_value=3, max_value=12)))
     span = 2 * (e or 12)
     points = {}
@@ -104,9 +106,9 @@ def valid_configs(draw):
         else:
             points[name] = Formal(draw(st.sampled_from(_ORBITS)),
                                   2 * draw(st.integers(-span // 2, span // 2)))
-    inversions = {}
-    for orbit in sorted({p.orbit for p in points.values()
-                         if isinstance(p, Formal)}):
+    used = {p.orbit for p in points.values() if isinstance(p, Formal)}
+    inversions = {"A": Paired("A*")} if "A*" in used else {}
+    for orbit in sorted(used - {"A*"} - set(inversions)):
         if draw(st.booleans()):
             inversions[orbit] = Paired(orbit + "*")
         else:

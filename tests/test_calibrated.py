@@ -1,10 +1,12 @@
 """Numeric seeds, calibrated matrices, and relation checkers."""
 
 import cmath
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blobalg.calibrated as calibrated
@@ -18,6 +20,16 @@ from blobalg.calibrated import (
     make_seed,
     residue_value,
 )
+from blobalg.params import (
+    POINT_NAMES,
+    Formal,
+    Integral,
+    Paired,
+    SelfInverse,
+    make_config,
+    standing_violations,
+    validate_config,
+)
 from blobalg.tableaux import (
     Shape,
     Tableau,
@@ -26,7 +38,7 @@ from blobalg.tableaux import (
     shapes,
 )
 
-from conftest import CONFIG_FACTORIES
+from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import seminormal_partner, spectral_norm
 
 TOL = 1e-8
@@ -73,6 +85,69 @@ def test_boundary_parameters_land_in_annulus(any_cfg):
         seed = make_seed(any_cfg, s)
         assert 0.5 - 1e-9 <= abs(seed.q0) <= 2.0 + 1e-9
         assert 0.5 - 1e-9 <= abs(seed.qn) <= 2.0 + 1e-9
+
+
+# alpha1 and alpha2 on the partner orbits A and A*: alpha1*alpha2 = -q0^2
+# pins q0, and the base of A is what is left free
+PARTNER = make_config(
+    None,
+    {"alpha1": Formal("A", 0), "alpha2": Formal("A*", 6), "theta": Integral(5)},
+    {"A": Paired("A*")},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(PARTNER)
+@given(valid_configs())
+def test_valid_configs_are_seeded_on_their_points(cfg):
+    seed = make_seed(cfg, 0)
+    for label, value in (("alpha1", seed.alpha1), ("alpha2", seed.alpha2)):
+        want = residue_value(cfg, seed, cfg.point_residue(label))
+        assert abs(value - want) <= 1e-12 * abs(want), label
+
+
+@st.composite
+def _sound_configs(draw):
+    """Structurally sound configurations, valid or not, with no
+    self-inverse orbit at finite e: A is paired with A*, and B with B*
+    or, at e = infinity, self-inverse about a small even center."""
+    e = draw(st.one_of(st.none(), st.integers(min_value=3, max_value=12)))
+    span = 2 * (e or 12)
+    points = {}
+    for name in POINT_NAMES:
+        if draw(st.booleans()):
+            points[name] = Integral(draw(st.integers(-span, span)))
+        else:
+            points[name] = Formal(draw(st.sampled_from(("A", "A*", "B"))),
+                                  2 * draw(st.integers(-span // 2, span // 2)))
+    inversions = {"A": Paired("A*"), "B": Paired("B*")}
+    if e is None and draw(st.booleans()):
+        inversions["B"] = SelfInverse(2 * draw(st.integers(-3, 3)))
+    return make_config(e, points, inversions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sound_configs(), st.integers(min_value=0, max_value=10**6))
+def test_numeric_standing_assumptions_match_exact(cfg, rng_seed):
+    # the numeric evaluation make_seed runs, on res_to_complex values with
+    # annulus bases, reports what validate_config reports on residues; a
+    # self-inverse B at e = infinity takes the base -q^-c, which keeps its
+    # points off the integral lattice
+    rng = random.Random(rng_seed)
+    q = calibrated._sample_q(cfg, rng)
+    bases = {}
+    for orbit, inv in cfg.inversions.items():
+        if isinstance(inv, SelfInverse):
+            bases[orbit] = -q ** -(inv.center // 2)
+        elif orbit not in bases:
+            bases[orbit] = calibrated._sample_annulus(rng)
+            bases[inv.partner] = 1 / bases[orbit]
+    seed = calibrated.NumericSeed(q, 1, 1, bases)
+    with mock.patch.object(calibrated, "standing_violations",
+                           wraps=standing_violations) as spy:
+        calibrated._separated(cfg, seed)
+    numeric = standing_violations(*spy.call_args.args)
+    assert numeric == validate_config(cfg)
 
 
 # -- construction --------------------------------------------------------

@@ -457,6 +457,50 @@ def test_calibrated_check_on_self_inverse_alpha_orbit(tmp_path, capsys):
     assert err.startswith("non-generic seed: ")
 
 
+# theta = q^-1 meets the standing assumptions, so it is seeded; at n = 3
+# the zero-shape tableau (-3, -1, 2) has residues q, q, q^3, and its two
+# equal first residues make T_1's denominator vanish
+THETA_Q_INV = {"e": "infinity",
+               "points": {"alpha1": {"integral": 4}, "alpha2": {"integral": 8},
+                          "theta": {"integral": -1}},
+               "inversions": {}}
+
+# alpha1 and alpha2 on the partner orbits A and A*
+PARTNER_ALPHAS = {"e": "infinity",
+                  "points": {"alpha1": {"orbit": "A", "offset": 0},
+                             "alpha2": {"orbit": "A*", "offset": 6},
+                             "theta": {"integral": 5}},
+                  "inversions": {"A": {"paired": "A*"}}}
+
+
+def test_calibrated_check_seeds_theta_q_inverse(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(THETA_Q_INV))
+    assert invoke(capsys, "validate", "--config", str(path))[0] == 0
+    for seed in ("0", "1", "2"):
+        rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                              str(path), "--n", "2", "--seed", seed)
+        assert rc == 0, err
+        assert out.endswith(": PASS\n")
+    rc, out, err = invoke(capsys, "calibrated-check", "--config", str(path),
+                          "--n", "3")
+    assert rc == 1
+    assert out == ""
+    assert err == "non-generic seed: T_1 denominator ~ 0 on (-3, -1, 2)\n"
+
+
+@pytest.mark.parametrize("e", ["infinity", 7])
+def test_calibrated_check_on_partner_alpha_orbits(e, tmp_path, capsys):
+    path = tmp_path / "partner.json"
+    path.write_text(json.dumps(dict(PARTNER_ALPHAS, e=e)))
+    assert invoke(capsys, "validate", "--config", str(path))[0] == 0
+    for seed in ("0", "1", "2"):
+        rc, out, err = invoke(capsys, "calibrated-check", "--config",
+                              str(path), "--n", "2", "--seed", seed)
+        assert rc == 0, err
+        assert out.endswith(": PASS\n")
+
+
 def test_degree_agreement_columns(capsys):
     rc, out, _ = invoke(capsys, "degree", "--config",
                         str(CONFIGS / "e5-formal.json"), "--n", "3")
