@@ -15,16 +15,16 @@ them per check, against a tolerance of their own (default 1e-8).
 In a calibrated module each of T_0, ..., T_{n-1} and T_0v has a
 diagonal and at most one off-diagonal entry per column, so they are
 stored as ``Seminormal`` (diagonal, partner index, off-diagonal
-coefficient), O(dim) each; T_n and X_1, ..., X_n are dense arrays,
-built from them by Seminormal products.  A product with a Seminormal
+coefficient), O(dim) each; T_n is a dense array, and of each X_1,
+..., X_n, diagonal up to rounding, only the diagonal and the Frobenius
+norm of the off-diagonal part are kept.  A product with a Seminormal
 factor gathers and scales rows or columns in O(dim^2), never a dense
 matmul.  A relation's residual is summed into one dense array: a word
 of k Seminormal factors is scattered into it term by term, at most 2^k
 terms per row, and only words involving T_n or the blob products are
-multiplied out.  The X_i are diagonal up to rounding, so a commutator
-[X_i, X_j] is first bounded from their diagonals and off-diagonal
-norms in O(dim^2), and formed only when that bound reaches the
-tolerance.
+multiplied out.  A commutator [X_i, X_j] is first bounded in O(1) from
+those kept numbers; only where that bound reaches the tolerance are
+the two X's rebuilt, bounded in O(dim^2) and then formed.
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
@@ -50,6 +50,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -86,8 +87,8 @@ _DENOM_MARGIN = 0.25
 _DENOM_FLOOR = 1e-8
 
 
-# Size budget of one calibrated check (see module_bytes): 165 MiB at
-# n = 9 fits, 705 MiB at n = 10 does not.
+# Size budget of one calibrated check (see module_bytes): 193 MiB at
+# n = 10 fits, 769 MiB at n = 11 does not.
 MAX_MODULE_BYTES = 512 * 2**20
 
 
@@ -299,13 +300,15 @@ class Seminormal:
     def __matmul__(self, other):
         if isinstance(other, Seminormal):
             return _scatter(np.zeros(self.shape, complex), 1, [self, other])
-        out = other[self.partner] * self.off[:, None]
+        out = np.take(other, self.partner, axis=0).astype(complex, copy=False)
+        out *= self.off[:, None]
         out += self.diag[:, None] * other
         return out
 
     def __rmatmul__(self, other):
         p = self.partner
-        out = other[:, p] * self.off[p]
+        out = np.take(other, p, axis=1).astype(complex, copy=False)
+        out *= self.off[p]
         out += other * self.diag
         return out
 
@@ -355,7 +358,8 @@ class CalibratedModule:
     ts: list  # T_1 .. T_{n-1}, each Seminormal
     t0v: Seminormal
     tn: np.ndarray
-    xs: list  # X_1 .. X_n, dense
+    xs: list  # diagonals of X_1 .. X_n
+    x_off: list  # Frobenius norms of X_1 .. X_n off their diagonals
     seed: NumericSeed
 
     @property
@@ -375,20 +379,17 @@ class CalibratedModule:
 
 def module_bytes(n):
     """Peak bytes of a calibrated check at level n, from tableau counts
-    alone: 3n + 14 complex dim x dim arrays for the largest module, plus
-    1 MiB for tableaux and reports.  The formula was fitted when the
-    module stored 2n + 2 dense arrays (T_0 .. T_{n-1}, T_0v, T_n, X_1 ..
-    X_n), the TL and blob checks held n + 2 idempotents and one
-    relation's products and norm added at most 10; whole runs on the
-    generic configuration peaked at 27.4, 29.0, 30.5, 33.2 and 36.1
-    arrays at n = 5 .. 9 (tracemalloc).  It is kept as it was, so it
-    over-counts the two idempotents now held and the n + 1 generators
-    T_0 .. T_{n-1}, T_0v, which are Seminormal, O(dim) each.  The X_i
-    commutator bound holds two dense temporaries, no more than the
-    product and residual it replaces below the tolerance.
+    alone: 12 complex dim x dim arrays for the largest module, plus 1 MiB
+    for tableaux and reports.  A module holds one dense array, T_n.
+    Whole runs on the generic configuration peaked at 7.9, 7.5, 7.3 and
+    7.2 arrays at n = 7 .. 10 (tracemalloc, tol 1e-8), and at 7.8, 7.4
+    and 7.2 at n = 7 .. 9 with tol 1e-300, which sends every relation to
+    the SVD and rebuilds every X_i; the blob check's products set them.
+    One array more is the SVD's copy of its input, which tracemalloc
+    does not see, and the rest is margin.
     """
     dim = max(count_std(n, s) for s in shapes(n))
-    return (3 * n + 14) * dim * dim * np.dtype(complex).itemsize + 2**20
+    return 12 * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
 def build_calibrated(cfg, n, shape, seed):
@@ -406,10 +407,11 @@ def build_calibrated(cfg, n, shape, seed):
     the partner s_i t and the pair coefficient.  T_0v = diag(X_1)(T_0 +
     1/q0 - q0) is the same pairing with its rows scaled.  T_n = W T_0v
     W^-1 (W = T_{n-1} .. T_1, T_i^-1 = T_i + 1/q - q) and X_{i+1} = T_i
-    X_i T_i are dense, both formed by Seminormal x dense products in
-    O(dim^2) each, O(n dim^2) in all.  The X_i are diagonal up to
-    rounding, and check_hecke_relations reports their commutators as a
-    certified bound below the tolerance (_x_commutator).
+    X_i T_i (_x_chain) are dense, both formed by Seminormal x dense
+    products in O(dim^2) each, O(n dim^2) in all.  T_n is kept; of each
+    X_i only its diagonal and the Frobenius norm of its off-diagonal
+    part are, which is what the checks read.  A check that needs a
+    dense X_i rebuilds it from the same chain, bit for bit.
 
     Raises NonGenericSeedError when a denominator is below
     _DENOM_FLOOR, naming the offending generator and tableau; T_1 ..
@@ -469,11 +471,21 @@ def build_calibrated(cfg, n, shape, seed):
         tn = mat @ tn @ mat.shift(1 / q - q)
     tn = np.asarray(tn)  # n = 1: T_n is T_0v itself
 
-    xs = [t0v @ t0]
-    for mat in ts:
-        xs.append(mat @ xs[-1] @ mat)
+    xs, x_off = [], []
+    for x in _x_chain(t0v, t0, ts):
+        xs.append(x.diagonal().copy())
+        x_off.append(float(np.linalg.norm(_off_diagonal(x))))
+    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs,
+                            x_off, seed)
 
-    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs, seed)
+
+def _x_chain(t0v, t0, ts):
+    """X_1 = T_0v T_0, X_{i+1} = T_i X_i T_i: the build and every rebuild."""
+    x = t0v @ t0
+    yield x
+    for mat in ts:
+        x = mat @ x @ mat
+        yield x
 
 
 # -- relation reports ----------------------------------------------------
@@ -557,12 +569,11 @@ def check_hecke_relations(m, tol=DEFAULT_TOL):
             rel["braid4 %s %s" % (na, nb)] = _residual(
                 [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
 
-    xs = [(x, np.diag(x), float(np.linalg.norm(_off_diagonal(x))))
-          for x in m.xs]
+    peaks = [float(np.max(np.abs(d))) for d in m.xs]
     for i in range(m.n):
         for j in range(i + 1, m.n):
             rel["commute X%d X%d" % (i + 1, j + 1)] = _x_commutator(
-                xs[i], xs[j], tol)
+                m, i, j, peaks, tol)
     return _report(rel, tol)
 
 
@@ -573,19 +584,27 @@ def _off_diagonal(x):
     return e
 
 
-def _x_commutator(xi, xj, tol):
-    """Reported residual of [X_i, X_j], each given as (X, diagonal d,
-    Frobenius norm of X - diag(d)).
+def _x_commutator(m, i, j, peaks, tol):
+    """Reported residual of [X_i, X_j] (0-based i < j), read from the
+    stored diagonals d, their largest moduli peaks and the Frobenius
+    norms e of the off-diagonal parts E.
 
     With X = D + E, D = diag(d), [X_i, X_j] = G_i * E_j - G_j * E_i +
     [E_i, E_j], where G[r, c] = d[r] - d[c] and * is the entrywise
-    product; G has a zero diagonal, so G_i * E_j = G_i * X_j.  Hence the
-    spectral norm is at most |G_i * X_j - G_j * X_i|_F + 2 |E_i|_F
-    |E_j|_F, O(dim^2) without a product.  That bound is reported when it
-    is below tol; otherwise the commutator is formed and reported as
-    _residual does.
+    product.  |G_i[r, c]| <= 2 peaks[i], so the spectral norm is at most
+    2 peaks[i] e_j + 2 peaks[j] e_i + 2 e_i e_j, in O(1).  Where that
+    reaches tol, the two X's are rebuilt from the chain; G_i * E_j =
+    G_i * X_j as G has a zero diagonal, so |G_i * X_j - G_j * X_i|_F + 2
+    e_i e_j bounds it in O(dim^2); where that too reaches tol, the
+    commutator is formed and reported as _residual does.
     """
-    (a, da, ea), (b, db, eb) = xi, xj
+    (da, db), (ea, eb) = (m.xs[i], m.xs[j]), (m.x_off[i], m.x_off[j])
+    bound = 2 * peaks[i] * eb + 2 * peaks[j] * ea + 2 * ea * eb
+    if bound < tol:
+        return bound
+    chain = _x_chain(m.t0v, m.t0, m.ts)
+    a = next(islice(chain, i, None))
+    b = next(islice(chain, j - i - 1, None))
     res = np.subtract.outer(da, da)
     res *= b
     tmp = np.subtract.outer(db, db)
@@ -594,6 +613,7 @@ def _x_commutator(xi, xj, tol):
     bound = float(np.linalg.norm(res)) + 2 * ea * eb
     if bound < tol:
         return bound
+    del res, tmp
     return _residual(_commutator(a, b), tol)
 
 
@@ -624,12 +644,16 @@ def check_tl_relations(m, tol=DEFAULT_TOL):
 
 
 def check_jm_spectrum(m, tol=DEFAULT_TOL):
-    """X_i must be diagonal with the residue values on the diagonal."""
+    """X_i must be diagonal with the residue values on the diagonal; an
+    off-diagonal norm at or above tol is taken again on the rebuilt X_i."""
     rel = {}
-    for i, x in enumerate(m.xs, start=1):
+    for i, (d, off) in enumerate(zip(m.xs, m.x_off), start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
-        rel["X%d diagonal" % i] = float(np.max(np.abs(np.diag(x) - expected)))
-        rel["X%d off-diagonal" % i] = _norm(_off_diagonal(x), tol)
+        rel["X%d diagonal" % i] = float(np.max(np.abs(d - expected)))
+        if off >= tol:
+            x = next(islice(_x_chain(m.t0v, m.t0, m.ts), i - 1, None))
+            off = _norm(_off_diagonal(x), tol)
+        rel["X%d off-diagonal" % i] = off
     return _report(rel, tol)
 
 

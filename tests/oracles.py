@@ -50,6 +50,7 @@ from blobalg.calibrated import (
     _bracket,
     _norm,
     _report,
+    _x_chain,
     residue_value,
 )
 from blobalg.decomp import GradedMatrix
@@ -660,7 +661,10 @@ def build_calibrated_dense(cfg, n, shape, seed):
     t0v = x1 @ (t0 + (1 / q0 - q0) * eye)
 
     tn, xs = dense_products(t0v, t0, ts, q)
-    return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs, seed)
+    return CalibratedModule(
+        shape, n, basis, gamma, t0, ts, t0v, tn,
+        [x.diagonal().copy() for x in xs],
+        [float(np.linalg.norm(x - np.diag(np.diag(x)))) for x in xs], seed)
 
 
 def dense_products(t0v, t0, ts, q, dtype=complex):
@@ -681,6 +685,14 @@ def dense_products(t0v, t0, ts, q, dtype=complex):
     for mat in ts:
         xs.append(mat @ xs[-1] @ mat)
     return tn, xs
+
+
+def dense_xs(m):
+    """X_1 .. X_n of a module as dense arrays, rebuilt by the module's
+    own chain (calibrated._x_chain): Seminormal products on a module of
+    build_calibrated, dense ones on a module of build_calibrated_dense,
+    where they are dense_products' own."""
+    return list(_x_chain(m.t0v, m.t0, m.ts))
 
 
 def check_hecke_relations_dense(m, tol=DEFAULT_TOL):
@@ -704,9 +716,10 @@ def check_hecke_relations_dense(m, tol=DEFAULT_TOL):
         for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
             rel["braid4 %s %s" % (na, nb)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
 
+    xs = dense_xs(m)
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            a, b = m.xs[i], m.xs[j]
+            a, b = xs[i], xs[j]
             rel["commute X%d X%d" % (i + 1, j + 1)] = _norm(a @ b - b @ a, tol)
     return _report(rel, tol)
 
@@ -741,7 +754,7 @@ def check_tl_relations_dense(m, tol=DEFAULT_TOL):
 def check_jm_spectrum_dense(m, tol=DEFAULT_TOL):
     """X_i must be diagonal with the residue values on the diagonal."""
     rel = {}
-    for i, x in enumerate(m.xs, start=1):
+    for i, x in enumerate(dense_xs(m), start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
         rel["X%d diagonal" % i] = float(np.max(np.abs(np.diag(x) - expected)))
         rel["X%d off-diagonal" % i] = _norm(x - np.diag(np.diag(x)), tol)

@@ -228,7 +228,7 @@ def test_criterion_7_calibrated_relation_suite():
                 for r, t in enumerate(mod.basis):
                     res = residue_seq(cfg, n, t)
                     for i in range(n):
-                        err = abs(mod.xs[i][r, r]
+                        err = abs(mod.xs[i][r]
                                   - residue_value(cfg, seed, res[i]))
                         assert err < TOL
                         worst = max(worst, err)

@@ -39,7 +39,7 @@ from blobalg.tableaux import (
 )
 
 from conftest import CONFIG_FACTORIES, valid_configs
-from oracles import seminormal_partner, spectral_norm
+from oracles import dense_xs, seminormal_partner, spectral_norm
 
 TOL = 1e-8
 CHECKERS = (check_hecke_relations, check_tl_relations, check_jm_spectrum, blob_check)
@@ -433,33 +433,56 @@ def _commutator_norm(a, b, dtype):
     return np.linalg.norm((a @ b - b @ a).astype(complex), 2)
 
 
-@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
-def test_x_commutator_bound_against_dense(cfg_name):
-    # Below tol a commute X_i X_j value is the certified bound, never under
-    # the spectral norm of the dense commutator; with tol at or under the
-    # bound it is the dense residual itself.
-    cfg = CONFIG_FACTORIES[cfg_name]()
+def _x_commutator_dim2(a, b, tol):
+    """The O(dim^2) path of a commute X_i X_j value from the dense X's:
+    |G_i * X_j - G_j * X_i|_F + 2 |E_i|_F |E_j|_F below tol, else the
+    dense residual."""
+    da, db = np.diag(a), np.diag(b)
+    ea, eb = (float(np.linalg.norm(x - np.diag(np.diag(x)))) for x in (a, b))
+    bound = float(np.linalg.norm(np.subtract.outer(da, da) * b
+                                 - np.subtract.outer(db, db) * a)) + 2 * ea * eb
+    if bound < tol:
+        return bound
+    return calibrated._residual(calibrated._commutator(a, b), tol)
+
+
+def test_x_commutator_bound_against_dense():
+    # Below tol a commute X_i X_j value is the O(1) bound, never under the
+    # spectral norm of the dense commutator.  With tol at or under every
+    # such bound each pair is rebuilt, and its value is the O(dim^2) bound
+    # or the dense residual, whichever that path gives.
     seen = 0
-    for s in range(3):
-        seed = make_seed(cfg, s)
-        for n in range(2, 8):
-            for m in _buildable(cfg, n, seed):
-                xs = {"commute X%d X%d" % (i + 1, j + 1): (m.xs[i], m.xs[j])
-                      for i in range(n) for j in range(i + 1, n)}
-                bounds = check_hecke_relations(m)["relations"]
-                tol = min(bounds[name] for name in xs)
-                exact = check_hecke_relations(m, tol)["relations"]
-                for name, (a, b) in xs.items():
-                    spectral = _commutator_norm(a, b, complex)
-                    if bounds[name] < spectral * (1 - NORM_SLACK):
-                        # near 1e-16 the double products round by more
-                        # than the commutator: form it in extended precision
-                        spectral = _commutator_norm(a, b, np.clongdouble)
-                    assert bounds[name] >= spectral * (1 - NORM_SLACK), (n, name)
-                    assert exact[name] == calibrated._residual(
-                        calibrated._commutator(a, b), tol), (n, name)
-                    seen += bounds[name] < TOL
-    assert seen > 1000
+    for cfg_name in sorted(CONFIG_FACTORIES):
+        cfg = CONFIG_FACTORIES[cfg_name]()
+        for s in range(3):
+            seed = make_seed(cfg, s)
+            for n in range(2, 8):
+                for m in _buildable(cfg, n, seed):
+                    xs = dense_xs(m)
+                    pairs = {"commute X%d X%d" % (i + 1, j + 1): (i, j)
+                             for i in range(n) for j in range(i + 1, n)}
+                    bounds = check_hecke_relations(m)["relations"]
+                    tol = min(bounds[name] for name in pairs)
+                    peaks = [float(np.max(np.abs(d))) for d in m.xs]
+                    for name, (i, j) in pairs.items():
+                        a, b = xs[i], xs[j]
+                        # the Frobenius norm bounds the spectral norm, so
+                        # an SVD runs only where it does not settle the
+                        # bound; near 1e-16 the double products round by
+                        # more than the commutator, and the last resort
+                        # forms it in extended precision
+                        norm = np.linalg.norm(a @ b - b @ a)
+                        for dtype in (complex, np.clongdouble):
+                            if bounds[name] >= norm * (1 - NORM_SLACK):
+                                break
+                            norm = _commutator_norm(a, b, dtype)
+                        assert bounds[name] >= norm * (1 - NORM_SLACK), (
+                            cfg_name, s, n, name)
+                        exact = calibrated._x_commutator(m, i, j, peaks, tol)
+                        assert exact == _x_commutator_dim2(a, b, tol), (
+                            cfg_name, s, n, name)
+                        seen += bounds[name] < TOL
+    assert seen > 6000
 
 
 def _reports(cfg, n, seed, tol):

@@ -392,23 +392,26 @@ def test_module_bytes_counts_the_largest_module(cfg_generic):
         arrays = [m.t0, m.t0v, m.tn] + m.ts + m.xs
         held.append(sum(a.nbytes for a in arrays))
     assert module_bytes(4) > max(held)
-    assert module_bytes(9) == 165 * 2**20 <= MAX_MODULE_BYTES
-    assert module_bytes(10) == 705 * 2**20 > MAX_MODULE_BYTES
+    assert module_bytes(10) == 193 * 2**20 <= MAX_MODULE_BYTES
+    assert module_bytes(11) == 769 * 2**20 > MAX_MODULE_BYTES
 
 
 def test_module_bytes_bounds_the_traced_peak(capsys):
-    # Everything a whole run allocates, the checks' transients included.
+    # Everything a whole run allocates, the checks' transients included;
+    # tol 1e-300 sends every relation to the SVD and every X_i to its
+    # rebuild, and so fails.
     for n in range(1, 8):
-        tracemalloc.start()
-        try:
-            rc, _, _ = invoke(capsys, "calibrated-check", "--config",
-                              str(CONFIGS / "generic.json"), "--n", str(n),
-                              "--seed", "1")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 0
-        assert peak <= module_bytes(n), (n, peak, module_bytes(n))
+        for tol, code in (("1e-8", 0), ("1e-300", 1)):
+            tracemalloc.start()
+            try:
+                rc, _, _ = invoke(capsys, "calibrated-check", "--config",
+                                  str(CONFIGS / "generic.json"), "--n", str(n),
+                                  "--seed", "1", "--tol", tol)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == code, (n, tol)
+            assert peak <= module_bytes(n), (n, tol, peak, module_bytes(n))
 
 
 def test_calibrated_check_size_guard(capsys, monkeypatch):
@@ -420,7 +423,7 @@ def test_calibrated_check_size_guard(capsys, monkeypatch):
                           str(CONFIGS / "generic.json"), "--n", "11")
     assert rc == 2
     assert out == ""
-    assert "3009 MiB" in err and "budget of 512 MiB" in err
+    assert "769 MiB" in err and "budget of 512 MiB" in err
 
 
 def test_calibrated_check_non_generic_config_fails(capsys):

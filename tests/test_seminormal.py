@@ -30,6 +30,7 @@ from oracles import (
     check_jm_spectrum_dense,
     check_tl_relations_dense,
     dense_products,
+    dense_xs,
 )
 
 CHECKS = (
@@ -180,6 +181,8 @@ def _compare(cfg, n, seed, noise_floor=math.inf):
     lies outside [tol/4, 4 tol]; inside that band two evaluation orders
     of one relation may round to opposite sides of the gate (1.87e-8
     against 1.31e-8 on one random configuration).
+    The module's X_i are its own rebuild (dense_xs), and what it keeps
+    of them, diagonals and off-diagonal norms, must be theirs to the bit.
     """
     for sh in shapes(n):
         m = _built(build_calibrated, cfg, n, sh, seed)
@@ -191,12 +194,17 @@ def _compare(cfg, n, seed, noise_floor=math.inf):
         noisy = max(want["max_residual"] for _, _, want in reports) >= noise_floor
         for got, want in zip([m.t0] + m.ts, [d.t0] + d.ts):
             assert np.asarray(got).tobytes() == want.tobytes()
-        products = [d.t0v, d.tn] + d.xs
+        products = [d.t0v, d.tn] + dense_xs(d)
         if noisy:
             tn, xs = dense_products(m.t0v, m.t0, m.ts, seed.q, np.clongdouble)
             products = [d.t0v, tn] + xs
-        for got, want in zip([m.t0v, m.tn] + m.xs, products):
+        xs = dense_xs(m)
+        for got, want in zip([m.t0v, m.tn] + xs, products):
             _close(got, want, 1e-9 if noisy else 1e-11)
+        # what the module keeps of each X_i is what its rebuild gives
+        assert [x.diagonal().tobytes() for x in xs] == [x.tobytes() for x in m.xs]
+        assert m.x_off == [float(np.linalg.norm(x - np.diag(np.diag(x))))
+                           for x in xs]
         for kind, got, want in reports:
             assert list(got["relations"]) == list(want["relations"])
             tol = want["tol"]
