@@ -446,43 +446,43 @@ def _x_commutator_dim2(a, b, tol):
     return calibrated._residual(calibrated._commutator(a, b), tol)
 
 
-def test_x_commutator_bound_against_dense():
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_x_commutator_bound_against_dense(cfg_name):
     # Below tol a commute X_i X_j value is the O(1) bound, never under the
     # spectral norm of the dense commutator.  With tol at or under every
     # such bound each pair is rebuilt, and its value is the O(dim^2) bound
     # or the dense residual, whichever that path gives.
+    cfg = CONFIG_FACTORIES[cfg_name]()
     seen = 0
-    for cfg_name in sorted(CONFIG_FACTORIES):
-        cfg = CONFIG_FACTORIES[cfg_name]()
-        for s in range(3):
-            seed = make_seed(cfg, s)
-            for n in range(2, 8):
-                for m in _buildable(cfg, n, seed):
-                    xs = dense_xs(m)
-                    pairs = {"commute X%d X%d" % (i + 1, j + 1): (i, j)
-                             for i in range(n) for j in range(i + 1, n)}
-                    bounds = check_hecke_relations(m)["relations"]
-                    tol = min(bounds[name] for name in pairs)
-                    peaks = [float(np.max(np.abs(d))) for d in m.xs]
-                    for name, (i, j) in pairs.items():
-                        a, b = xs[i], xs[j]
-                        # the Frobenius norm bounds the spectral norm, so
-                        # an SVD runs only where it does not settle the
-                        # bound; near 1e-16 the double products round by
-                        # more than the commutator, and the last resort
-                        # forms it in extended precision
-                        norm = np.linalg.norm(a @ b - b @ a)
-                        for dtype in (complex, np.clongdouble):
-                            if bounds[name] >= norm * (1 - NORM_SLACK):
-                                break
-                            norm = _commutator_norm(a, b, dtype)
-                        assert bounds[name] >= norm * (1 - NORM_SLACK), (
-                            cfg_name, s, n, name)
-                        exact = calibrated._x_commutator(m, i, j, peaks, tol)
-                        assert exact == _x_commutator_dim2(a, b, tol), (
-                            cfg_name, s, n, name)
-                        seen += bounds[name] < TOL
-    assert seen > 6000
+    for s in range(3):
+        seed = make_seed(cfg, s)
+        for n in range(2, 8):
+            for m in _buildable(cfg, n, seed):
+                xs = dense_xs(m)
+                pairs = {"commute X%d X%d" % (i + 1, j + 1): (i, j)
+                         for i in range(n) for j in range(i + 1, n)}
+                bounds = check_hecke_relations(m)["relations"]
+                tol = min(bounds[name] for name in pairs)
+                peaks = [float(np.max(np.abs(d))) for d in m.xs]
+                for name, (i, j) in pairs.items():
+                    a, b = xs[i], xs[j]
+                    # the Frobenius norm bounds the spectral norm, so an
+                    # SVD runs only where it does not settle the bound;
+                    # near 1e-16 the double products round by more than
+                    # the commutator, and the last resort forms it in
+                    # extended precision
+                    norm = np.linalg.norm(a @ b - b @ a)
+                    for dtype in (complex, np.clongdouble):
+                        if bounds[name] >= norm * (1 - NORM_SLACK):
+                            break
+                        norm = _commutator_norm(a, b, dtype)
+                    assert bounds[name] >= norm * (1 - NORM_SLACK), (
+                        s, n, name)
+                    exact = calibrated._x_commutator(m, i, j, peaks, tol)
+                    assert exact == _x_commutator_dim2(a, b, tol), (
+                        s, n, name)
+                    seen += bounds[name] < TOL
+    assert seen > 1000
 
 
 def _reports(cfg, n, seed, tol):
