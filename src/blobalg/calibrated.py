@@ -24,7 +24,7 @@ of k Seminormal factors is scattered into it term by term, at most 2^k
 terms per row, and only words involving T_n or the blob products are
 multiplied out.  A commutator [X_i, X_j] is first bounded in O(1) from
 those kept numbers; only where that bound reaches the tolerance are
-the two X's rebuilt, bounded in O(dim^2) and then formed.
+the two X's rebuilt and the commutator formed.
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
@@ -382,11 +382,10 @@ def module_bytes(n):
     alone: 12 complex dim x dim arrays for the largest module, plus 1 MiB
     for tableaux and reports.  A module holds one dense array, T_n.
     Whole runs on the generic configuration peaked at 7.9, 7.5, 7.3 and
-    7.2 arrays at n = 7 .. 10 (tracemalloc, tol 1e-8), and at 7.8, 7.4
+    7.2 arrays at n = 7 .. 10 (tracemalloc, tol 1e-8), and at 8.5, 7.5
     and 7.2 at n = 7 .. 9 with tol 1e-300, which sends every relation to
-    the SVD and rebuilds every X_i; the blob check's products set them.
-    One array more is the SVD's copy of its input, which tracemalloc
-    does not see, and the rest is margin.
+    the SVD and rebuilds every X_i.  One array more is the SVD's copy of
+    its input, which tracemalloc does not see, and the rest is margin.
     """
     dim = max(count_std(n, s) for s in shapes(n))
     return 12 * dim * dim * np.dtype(complex).itemsize + 2**20
@@ -547,7 +546,7 @@ def _report(relations, tol):
 
 def check_hecke_relations(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals; an
-    X-commutation value below tol is the bound of _x_commutator."""
+    X-commutation value below tol is the bound of _x_commutators."""
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
@@ -569,11 +568,7 @@ def check_hecke_relations(m, tol=DEFAULT_TOL):
             rel["braid4 %s %s" % (na, nb)] = _residual(
                 [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
 
-    peaks = [float(np.max(np.abs(d))) for d in m.xs]
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            rel["commute X%d X%d" % (i + 1, j + 1)] = _x_commutator(
-                m, i, j, peaks, tol)
+    rel.update(_x_commutators(m, tol))
     return _report(rel, tol)
 
 
@@ -584,37 +579,35 @@ def _off_diagonal(x):
     return e
 
 
-def _x_commutator(m, i, j, peaks, tol):
-    """Reported residual of [X_i, X_j] (0-based i < j), read from the
-    stored diagonals d, their largest moduli peaks and the Frobenius
-    norms e of the off-diagonal parts E.
+def _x_commutators(m, tol):
+    """Reported residuals of [X_i, X_j], i < j, read from the stored
+    diagonals d and the Frobenius norms e of the off-diagonal parts E.
 
     With X = D + E, D = diag(d), [X_i, X_j] = G_i * E_j - G_j * E_i +
     [E_i, E_j], where G[r, c] = d[r] - d[c] and * is the entrywise
-    product.  |G_i[r, c]| <= 2 peaks[i], so the spectral norm is at most
-    2 peaks[i] e_j + 2 peaks[j] e_i + 2 e_i e_j, in O(1).  Where that
-    reaches tol, the two X's are rebuilt from the chain; G_i * E_j =
-    G_i * X_j as G has a zero diagonal, so |G_i * X_j - G_j * X_i|_F + 2
-    e_i e_j bounds it in O(dim^2); where that too reaches tol, the
-    commutator is formed and reported as _residual does.
+    product.  |G_i[r, c]| <= 2 max|d_i|, so the spectral norm is at most
+    2 max|d_i| e_j + 2 max|d_j| e_i + 2 e_i e_j, in O(1).  Where that
+    reaches tol, the commutator is formed from X_i and X_j rebuilt from
+    the chain and reported as _residual does: one walk per such i, which
+    holds X_i and the current X_j, O(n dim^2) each.
     """
-    (da, db), (ea, eb) = (m.xs[i], m.xs[j]), (m.x_off[i], m.x_off[j])
-    bound = 2 * peaks[i] * eb + 2 * peaks[j] * ea + 2 * ea * eb
-    if bound < tol:
-        return bound
-    chain = _x_chain(m.t0v, m.t0, m.ts)
-    a = next(islice(chain, i, None))
-    b = next(islice(chain, j - i - 1, None))
-    res = np.subtract.outer(da, da)
-    res *= b
-    tmp = np.subtract.outer(db, db)
-    tmp *= a
-    res -= tmp
-    bound = float(np.linalg.norm(res)) + 2 * ea * eb
-    if bound < tol:
-        return bound
-    del res, tmp
-    return _residual(_commutator(a, b), tol)
+    peaks = [float(np.max(np.abs(d))) for d in m.xs]
+    rel = {}
+    for i in range(m.n):
+        far = i  # the last j whose bound reaches tol
+        for j in range(i + 1, m.n):
+            ei, ej = m.x_off[i], m.x_off[j]
+            rel[i, j] = 2 * peaks[i] * ej + 2 * peaks[j] * ei + 2 * ei * ej
+            if rel[i, j] >= tol:
+                far = j
+        if far > i:
+            chain = _x_chain(m.t0v, m.t0, m.ts)
+            a = next(islice(chain, i, None))
+            for j, b in enumerate(islice(chain, far - i), start=i + 1):
+                if rel[i, j] >= tol:
+                    rel[i, j] = _residual(_commutator(a, b), tol)
+    return {"commute X%d X%d" % (i + 1, j + 1): value
+            for (i, j), value in rel.items()}
 
 
 def check_tl_relations(m, tol=DEFAULT_TOL):
@@ -645,15 +638,18 @@ def check_tl_relations(m, tol=DEFAULT_TOL):
 
 def check_jm_spectrum(m, tol=DEFAULT_TOL):
     """X_i must be diagonal with the residue values on the diagonal; an
-    off-diagonal norm at or above tol is taken again on the rebuilt X_i."""
+    off-diagonal norm at or above tol is taken again on the rebuilt X_i,
+    all of them from one walk of the chain."""
     rel = {}
     for i, (d, off) in enumerate(zip(m.xs, m.x_off), start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
         rel["X%d diagonal" % i] = float(np.max(np.abs(d - expected)))
-        if off >= tol:
-            x = next(islice(_x_chain(m.t0v, m.t0, m.ts), i - 1, None))
-            off = _norm(_off_diagonal(x), tol)
         rel["X%d off-diagonal" % i] = off
+    far = max((i for i, off in enumerate(m.x_off) if off >= tol), default=-1)
+    chain = islice(_x_chain(m.t0v, m.t0, m.ts), far + 1)
+    for i, x in enumerate(chain, start=1):
+        if m.x_off[i - 1] >= tol:
+            rel["X%d off-diagonal" % i] = _norm(_off_diagonal(x), tol)
     return _report(rel, tol)
 
 

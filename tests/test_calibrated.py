@@ -433,25 +433,11 @@ def _commutator_norm(a, b, dtype):
     return np.linalg.norm((a @ b - b @ a).astype(complex), 2)
 
 
-def _x_commutator_dim2(a, b, tol):
-    """The O(dim^2) path of a commute X_i X_j value from the dense X's:
-    |G_i * X_j - G_j * X_i|_F + 2 |E_i|_F |E_j|_F below tol, else the
-    dense residual."""
-    da, db = np.diag(a), np.diag(b)
-    ea, eb = (float(np.linalg.norm(x - np.diag(np.diag(x)))) for x in (a, b))
-    bound = float(np.linalg.norm(np.subtract.outer(da, da) * b
-                                 - np.subtract.outer(db, db) * a)) + 2 * ea * eb
-    if bound < tol:
-        return bound
-    return calibrated._residual(calibrated._commutator(a, b), tol)
-
-
 @pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
 def test_x_commutator_bound_against_dense(cfg_name):
     # Below tol a commute X_i X_j value is the O(1) bound, never under the
-    # spectral norm of the dense commutator.  With tol at or under every
-    # such bound each pair is rebuilt, and its value is the O(dim^2) bound
-    # or the dense residual, whichever that path gives.
+    # spectral norm of the dense commutator; with tol at or under every
+    # such bound each pair is rebuilt, and its value is the dense residual.
     cfg = CONFIG_FACTORIES[cfg_name]()
     seen = 0
     for s in range(3):
@@ -463,7 +449,7 @@ def test_x_commutator_bound_against_dense(cfg_name):
                          for i in range(n) for j in range(i + 1, n)}
                 bounds = check_hecke_relations(m)["relations"]
                 tol = min(bounds[name] for name in pairs)
-                peaks = [float(np.max(np.abs(d))) for d in m.xs]
+                exact = check_hecke_relations(m, tol)["relations"]
                 for name, (i, j) in pairs.items():
                     a, b = xs[i], xs[j]
                     # the Frobenius norm bounds the spectral norm, so an
@@ -478,9 +464,8 @@ def test_x_commutator_bound_against_dense(cfg_name):
                         norm = _commutator_norm(a, b, dtype)
                     assert bounds[name] >= norm * (1 - NORM_SLACK), (
                         s, n, name)
-                    exact = calibrated._x_commutator(m, i, j, peaks, tol)
-                    assert exact == _x_commutator_dim2(a, b, tol), (
-                        s, n, name)
+                    assert exact[name] == calibrated._residual(
+                        calibrated._commutator(a, b), tol), (s, n, name)
                     seen += bounds[name] < TOL
     assert seen > 1000
 
