@@ -23,15 +23,16 @@ from .params import (
     load_config,
     validate_config,
 )
-from .paths import degree_klr, degree_tiles, ladder_tableaux, reduced_word
+from .paths import degree_rows, ladder_tableaux, reduced_word, word_rows
 from .tableaux import (
     count_std,
-    enumerate_std,
+    negated_sets,
     parse_shape,
     parse_tableau,
     shape_str,
     shapes,
     tableau_str,
+    tableau_texts,
     validate_shape,
 )
 
@@ -126,9 +127,9 @@ def _cmd_shapes(args):
 
 
 def _cmd_tableaux(args):
-    out = []
-    for shape in _shape_range(args):
-        out.extend(tableau_str(t) for t in enumerate_std(args.n, shape))
+    text = tableau_texts(args.n)
+    out = [text(shape, negs) for shape in _shape_range(args)
+           for negs in negated_sets(args.n, shape)]
     if args.format == "json":
         _out_json({"n": args.n, "count": len(out), "tableaux": out})
     else:
@@ -298,11 +299,8 @@ def _cmd_calibrated_check(args):
 
 def _cmd_degree(args):
     cfg = _load(args.config)
-    rows = []
-    for shape in _shape_range(args):
-        for t in enumerate_std(args.n, shape):
-            rows.append((tableau_str(t), degree_tiles(cfg, args.n, t),
-                         degree_klr(cfg, args.n, t)))
+    rows = [r for s in _shape_range(args)
+            for r in degree_rows(cfg, args.n, s, negated_sets(args.n, s))]
     if args.format == "json":
         _out_json({"n": args.n,
                    "degrees": [{"tableau": s, "degree_tiles": a,
@@ -318,13 +316,13 @@ def _cmd_word(args):
     cfg = _load(args.config)
     if args.shape is not None and ":" in args.shape:
         try:
-            ts = [parse_tableau(args.shape, n=args.n)]
+            t = parse_tableau(args.shape, n=args.n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+        rows = [(tableau_str(t), reduced_word(cfg, args.n, t))]
     else:
-        ts = [t for shape in _shape_range(args)
-              for t in enumerate_std(args.n, shape)]
-    rows = [(tableau_str(t), reduced_word(cfg, args.n, t)) for t in ts]
+        rows = [r for s in _shape_range(args)
+                for r in word_rows(cfg, args.n, s, negated_sets(args.n, s))]
     if args.format == "json":
         _out_json({"n": args.n,
                    "words": [{"tableau": s, "length": len(w),

@@ -17,20 +17,23 @@ tile_degree reads only its x and whether it touches the marker row.
 walk_tables builds what the walks of each shape read (ShapeTables)
 once per (configuration, n), with residues interned as small ids.
 Every exact command reads them: decomp's Delta, graded dimensions and
-ladder bounds; here degree_tiles (n row lookups per tableau), the tile
-order (_tile_order) of tau_order, reduced_word and degree_klr, and the
-ladder rule (walkers, split_walkers, ladder_tableaux), a subset
-construction over the walk states.  The two degrees stay independent:
-degree_tiles scores rows, degree_klr swaps residue ids.  No path is
-embedded: a walk is its vertex positions, and max_shape reads only its
-two ends.  cstd and residue_class_tableaux stay on Residue objects; the
-embedded paths and the similarity moves are test oracles
-(tests/oracles.py).
+ladder bounds; here the ladder rule (walkers, split_walkers,
+ladder_tableaux), a subset construction over the walk states, and the
+walk kernel of degree and word (degree_rows, word_rows), which builds
+no Tableau, reads one row degree per row and the tile order as one
+interval of rows per diagonal (_tile_runs).  degree_tiles, tau_order,
+reduced_word and degree_klr are the kernel on one tableau.  The two
+degrees stay independent: degree_tiles scores rows, degree_klr swaps
+residue ids.  No path is embedded: max_shape reads a walk's two ends.
+cstd and residue_class_tableaux stay on Residue objects; the embedded
+paths, the similarity moves and the per-tile bucket form of the tile
+order are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import zip_longest
+from operator import getitem
 from typing import NamedTuple, Optional
 
 from .params import ALPHA_LABELS
@@ -43,6 +46,7 @@ from .tableaux import (
     shapes,
     step_residue,
     t_lambda,
+    tableau_texts,
     walk_start,
 )
 
@@ -53,6 +57,8 @@ __all__ = [
     "tile_degree",
     "degree_tiles",
     "row_degrees",
+    "degree_rows",
+    "word_rows",
     "tau_order",
     "reduced_word",
     "degree_klr",
@@ -65,7 +71,7 @@ __all__ = [
 
 def residue_class_tableaux(cfg, n, t):
     """Tableaux of every shape sharing t's residue sequence.  It stays
-    for the span perfbench/tracer.py names until ROADMAP item 3 drops it."""
+    for the span perfbench/tracer.py names until ROADMAP item 4 drops it."""
     from .tableaux import cstd
 
     target = residue_seq(cfg, n, t)
@@ -164,12 +170,6 @@ def _build_walk_tables(cfg, n):
             for shape, (*head, seq) in parts.items()}
 
 
-def _walk(cfg, n, t):
-    """The shape's tables and the vertex positions of t's walk."""
-    tab = walk_tables(cfg, n)[t.shape]
-    return tab, _positions(tab.x0, n, t.negated_set())
-
-
 def _positions(x0, n, negs):
     """Vertex positions of the walk with SW steps at negs, from the
     shape's walk start x0 at no negatives; no path is embedded."""
@@ -195,17 +195,6 @@ def tile_degree(cfg, orbit, x, marker_row):
     if marker_row:
         return 0
     return int(cfg.on_hyperplane(orbit, x - 1) + cfg.on_hyperplane(orbit, x + 1) == 1)
-
-
-def degree_tiles(cfg, n, t):
-    """Sum of tile_degree over the tiles of t, one row_degrees lookup
-    per row of the shape's tables (walk_tables).  It reads no residue,
-    and degree_klr reads no row degree.  The tile-by-tile sum over the
-    embedded paths is kept in the tests as the oracle
-    (``degree_tiles_tilewise`` in tests/oracles.py)."""
-    tab, xs_t = _walk(cfg, n, t)
-    row, xs_l = tab.row, tab.xs_l
-    return sum(row(yc, xs_t[yc - 1], xs_l[yc - 1]) for yc in range(1, n + 1))
 
 
 def row_degrees(cfg, orbit, lo, hi):
@@ -238,68 +227,39 @@ def row_degrees(cfg, orbit, lo, hi):
     return degree
 
 
-# -- tile order and reduced words ----------------------------------------
+# -- the walk kernel: degrees and reduced words ----------------------------
 
-def _tile_order(xs_t, xs_l):
-    """tau_order as runs (side, k, ycs): the tiles between the walks xs_t
-    and xs_l on the diagonal xc - yc = k at rows ycs, bucketed by diagonal."""
-    left, right = defaultdict(list), defaultdict(list)
-    for yc in range(len(xs_t) - 1, 0, -1):
-        a, b = xs_t[yc - 1], xs_l[yc - 1]
+def _lambda_negs(xs_l):
+    """t_lambda's negated values, descending, off its vertex positions."""
+    return [j for j in range(len(xs_l) - 1, 0, -1) if xs_l[j] < xs_l[j - 1]]
+
+
+def _tile_runs(negs, lam):
+    """The tiles of the tableau with negated values negs (ascending) as
+    runs (left, right) in tau_order: (m, lo, hi) holds the tiles on the
+    diagonal xc - yc = x0 + 2m at rows lo..hi.  After j steps a walk is
+    at x0 + j + 2r, r its SW steps to come, so row j + 1 has left tiles
+    on the diagonals r <= m < r_lambda, right ones on r_lambda <= m < r.
+    With a, b entry m of negs and of lam (t_lambda's) read descending, 0
+    past the end, r <= m just when j >= a and r_lambda <= m just when
+    j >= b: left tiles at rows a + 1..b, right ones at b + 1..a."""
+    left, right = [], []
+    for m, (a, b) in enumerate(zip_longest(reversed(negs), lam, fillvalue=0)):
         if a < b:
-            for k in range(a + 1 - yc, b - yc, 2):
-                left[k].append(yc)
-        else:
-            for k in range(b + 1 - yc, a - yc, 2):
-                right[k].append(yc)
-    return ([("L", k, left[k]) for k in sorted(left, reverse=True)]
-            + [("R", k, right[k][::-1]) for k in sorted(right)])
+            left.append((m, a + 1, b))
+        elif a > b:
+            right.append((m, b + 1, a))
+    left.reverse()
+    return left, right
 
 
-def tau_order(cfg, n, t):
-    """Canonical removal order: greedy topological, a left tile before
-    its diagonal neighbours one column left (a right tile: right), least
-    (yc, -xc) first on the left, then least (-yc, xc) on the right
-    (``tau_order_scan`` in tests/oracles.py).  _tile_order reads it off
-    the diagonals: left tiles by xc - yc, then yc, both descending; right
-    tiles by yc - xc descending, then yc ascending.  Why: in u = xc + yc,
-    w = xc - yc the precedence is the product order; a_y +- y, b_y +- y
-    are monotone in y for walks a, b of +-1 steps, so each row is
-    contiguous along both diagonals and the region is a skew shape.  Its
-    available tiles form an antichain with yc strictly monotone along
-    it, so the first key decides (the xc tie-break never fires) and picks
-    the extreme (w, u) cell on the left, (y - x, -(x + y)) on the right.
-    It stays for the span perfbench/tracer.py names until ROADMAP item 3
-    drops it; reduced_word and degree_klr read _tile_order directly.
-    """
-    tab, xs_t = _walk(cfg, n, t)
-    return [(yc + k, yc, side)
-            for side, k, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
-
-
-def reduced_word(cfg, n, t):
-    """Letters of a reduced expression for the group element moving the
-    distinguished tableau to t, printed last-applied-first: the tile
-    contents yc - 1 in reversed tau_order, read off _tile_order."""
-    tab, xs_t = _walk(cfg, n, t)
-    word = [yc - 1 for _, _, ycs in _tile_order(xs_t, tab.xs_l) for yc in ycs]
-    return word[::-1]
-
-
-def degree_klr(cfg, n, t):
-    """Degree recomputed by threading the reduced word (the contents
-    yc - 1 of _tile_order) through the residue sequence of the
-    distinguished tableau: s_0 scores by the residue it inverts, s_j by
-    the pair it swaps (-2 if equal, +1 if q^(+-2) apart), as interned
-    ids of the shape's tables (walk_tables).  No row degree is read, so
-    this stays an independent check of degree_tiles.  The form on
-    Residue objects is kept in the tests as the oracle
-    (``degree_klr_residues`` in tests/oracles.py)."""
-    tab, xs_t = _walk(cfg, n, t)
+def _klr(tab, left, right):
+    """degree_klr: t_lambda's residue ids threaded through the runs."""
     seq = list(tab.seq)
     inverse, s0, near = tab.inverse, tab.s0, tab.near
     deg = 0
-    for _, _, ycs in _tile_order(xs_t, tab.xs_l):
+    for ycs in ([range(hi, lo - 1, -1) for _, lo, hi in left]
+                + [range(lo, hi + 1) for _, lo, hi in right]):
         for yc in ycs:          # the letter s_(yc - 1)
             if yc == 1:
                 r = seq[0]
@@ -313,6 +273,81 @@ def degree_klr(cfg, n, t):
                     deg += 1
                 seq[yc - 2], seq[yc - 1] = b, a
     return deg
+
+
+def degree_rows(cfg, n, shape, sets):
+    """(text, degree_tiles, degree_klr) of the tableaux of the shape with
+    negated values (ascending) in sets, building no Tableau.  The two
+    degrees read disjoint data: row degrees, and residue ids."""
+    tab, text = walk_tables(cfg, n)[shape], tableau_texts(n)
+    x0, xs, top = tab.x0, tab.xs_l, len(tab.sw) - 1
+    rows = [{x: tab.row(j + 1, x, xs[j])    # row j + 1 of a walk at x
+             for x in range(x0 + j, x0 + j + 2 * min(top, n - j) + 1, 2)}
+            for j in range(n)]
+    lam = _lambda_negs(xs)
+    for negs in sets:
+        yield (text(shape, negs),
+               sum(map(getitem, rows, _positions(x0, n, negs))),
+               _klr(tab, *_tile_runs(negs, lam)))
+
+
+def word_rows(cfg, n, shape, sets):
+    """(text, reduced_word) of the tableaux of the shape with negated
+    values (ascending) in sets, building no Tableau."""
+    text, lam = tableau_texts(n), _lambda_negs(walk_tables(cfg, n)[shape].xs_l)
+    for negs in sets:
+        left, right = _tile_runs(negs, lam)
+        word = []       # the letters yc - 1 of reversed tau_order
+        for _, lo, hi in reversed(right):
+            word.extend(range(hi - 1, lo - 2, -1))
+        for _, lo, hi in reversed(left):
+            word.extend(range(lo - 1, hi))
+        yield text(shape, negs), word
+
+
+def degree_tiles(cfg, n, t):
+    """Sum of tile_degree over the tiles of t, one row_degrees lookup
+    per row (degree_rows); the oracle sums tile by tile over embedded
+    paths (``degree_tiles_tilewise`` in tests/oracles.py).  It stays for
+    the span perfbench/tracer.py names until ROADMAP item 4 drops it."""
+    return next(degree_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[1]
+
+
+def tau_order(cfg, n, t):
+    """Canonical removal order: greedy topological, a left tile before
+    its diagonal neighbours one column left (a right tile: right), least
+    (yc, -xc) first on the left, then least (-yc, xc) on the right
+    (``tau_order_scan`` in tests/oracles.py).  In u = xc + yc, w = xc -
+    yc the precedence is the product order on a skew shape (_tile_runs),
+    so the available tiles form an antichain with yc strictly monotone:
+    the first key decides, and left tiles come by xc - yc, then yc, both
+    descending, right tiles by yc - xc descending, then yc ascending.
+    It stays for the span perfbench/tracer.py names until ROADMAP item 4
+    drops it.
+    """
+    tab = walk_tables(cfg, n)[t.shape]
+    left, right = _tile_runs(sorted(t.negated_set()), _lambda_negs(tab.xs_l))
+    return ([(yc + tab.x0 + 2 * m, yc, "L")
+             for m, lo, hi in left for yc in range(hi, lo - 1, -1)]
+            + [(yc + tab.x0 + 2 * m, yc, "R")
+               for m, lo, hi in right for yc in range(lo, hi + 1)])
+
+
+def reduced_word(cfg, n, t):
+    """Letters of a reduced expression for the group element moving the
+    distinguished tableau to t, printed last-applied-first: the tile
+    contents yc - 1 in reversed tau_order (word_rows)."""
+    return next(word_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[1]
+
+
+def degree_klr(cfg, n, t):
+    """Degree recomputed by threading the reduced word through the
+    residue ids of the distinguished tableau (degree_rows): s_0 scores
+    by the residue it inverts, s_j by the pair it swaps (-2 if equal, +1
+    if q^(+-2) apart); the oracle threads Residue objects
+    (``degree_klr_residues`` in tests/oracles.py).  It stays for the
+    span perfbench/tracer.py names until ROADMAP item 4 drops it."""
+    return next(degree_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[2]
 
 
 # -- widest realization --------------------------------------------------
@@ -412,5 +447,5 @@ def ladder_tableaux(cfg, n, shapes):
 
 def is_ladder(cfg, n, t):
     """Whether t is a ladder tableau (_ladder_rule).  It stays for the
-    span perfbench/tracer.py names until ROADMAP item 3 drops it."""
+    span perfbench/tracer.py names until ROADMAP item 4 drops it."""
     return _ladder_rule(cfg, n)(t)

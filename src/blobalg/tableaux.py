@@ -44,6 +44,7 @@ __all__ = [
     "max_negatives",
     "count_std",
     "from_negated_set",
+    "negated_sets",
     "enumerate_std",
     "t_lambda",
     "is_standard",
@@ -53,6 +54,7 @@ __all__ = [
     "cstd",
     "shape_str",
     "parse_shape",
+    "tableau_texts",
     "tableau_str",
     "parse_tableau",
 ]
@@ -145,6 +147,12 @@ def from_negated_set(n, shape, negs):
     return Tableau(shape, tuple(entries))
 
 
+def negated_sets(n, shape):
+    """Negated-value sets (ascending tuples) in enumerate_std order."""
+    for j in range(max_negatives(n, shape) + 1):
+        yield from combinations(range(1, n + 1), j)
+
+
 def enumerate_std(n, shape):
     """Yield all standard tableaux, ordered by negated-value set."""
     for j in range(max_negatives(n, shape) + 1):
@@ -232,7 +240,7 @@ def cstd(cfg, n, shape, target):
     of negative entries, taking only steps whose step_residue matches,
     so the search branches only where both SE and SW match.  No command
     runs it; it stays for the span perfbench/tracer.py names until
-    ROADMAP item 3 drops it.
+    ROADMAP item 4 drops it.
     """
     validate_shape(n, shape)
     R = _target_residues(cfg, n, target)
@@ -279,8 +287,18 @@ def parse_shape(text):
     return Shape(int(m.group(1)), m.group(2))
 
 
+def tableau_texts(n):
+    """text(shape, negs): the one text form "(k,marker):[entries]" of a
+    tableau, from its negated values negs (ascending) and pieces for n."""
+    neg = ["-%d" % v for v in range(n + 1)]
+    pos = [str(v) for v in range(n + 1)]
+    return lambda shape, negs: "%s:[%s]" % (shape_str(shape), ",".join(
+        [neg[v] for v in reversed(negs)]
+        + [pos[v] for v in range(1, n + 1) if v not in negs]))
+
+
 def tableau_str(t):
-    return "%s:[%s]" % (shape_str(t.shape), ",".join(str(v) for v in t.entries))
+    return tableau_texts(len(t.entries))(t.shape, sorted(t.negated_set()))
 
 
 def parse_tableau(text, n=None):

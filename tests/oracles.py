@@ -12,7 +12,8 @@ without ParamConfig.marker_label_at's lookup table.  The row
 degree oracle scores a tile row tile by tile.  The tableau statistics
 oracles read no per-shape tables: they embed both paths of every
 tableau, score it tile by tile, order its tiles by a scan over all tile
-pairs, and thread the reduced word through Residue objects.  The graded
+pairs or by bucketing them per diagonal, thread the reduced word
+through Residue objects, and print the tableau from its entries.  The graded
 oracles are the plain per-tableau definitions: they enumerate every
 standard tableau of the shape (or, for Delta, every coloured tableau
 through cstd) and score each by the tile-by-tile degree.  The ladder
@@ -38,6 +39,7 @@ configuration and the JSON reader of a Laurent polynomial.
 
 import cmath
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,7 @@ from blobalg.tableaux import (
     is_standard,
     max_negatives,
     residue_seq,
+    shape_str,
     shapes,
     step_residue,
     t_lambda,
@@ -428,6 +431,26 @@ def tau_order_scan(cfg, n, t):
     return ordered
 
 
+def tile_order_buckets(cfg, n, t):
+    """Oracle for paths._tile_runs: tau_order as runs (side, k, ycs), the
+    tiles between the embedded paths of t and of t_lambda on the
+    diagonal xc - yc = k at rows ycs, appended tile by tile to one
+    bucket per diagonal and the buckets sorted."""
+    xs_t = positions(embed(cfg, n, t))
+    xs_l = positions(embed(cfg, n, t_lambda(n, t.shape)))
+    left, right = defaultdict(list), defaultdict(list)
+    for yc in range(n, 0, -1):
+        a, b = xs_t[yc - 1], xs_l[yc - 1]
+        if a < b:
+            for k in range(a + 1 - yc, b - yc, 2):
+                left[k].append(yc)
+        else:
+            for k in range(b + 1 - yc, a - yc, 2):
+                right[k].append(yc)
+    return ([("L", k, left[k]) for k in sorted(left, reverse=True)]
+            + [("R", k, right[k][::-1]) for k in sorted(right)])
+
+
 def degree_klr_residues(cfg, n, t):
     """Oracle for paths.degree_klr: tau_order_scan threaded through
     t_lambda's residue sequence as Residue objects, inverted and
@@ -452,6 +475,12 @@ def degree_klr_residues(cfg, n, t):
                 deg += 1
             seq[c - 1], seq[c] = b, a
     return deg
+
+
+def tableau_str_entries(t):
+    """Oracle for tableaux.tableau_texts: the text form printed from the
+    tableau's entries."""
+    return "%s:[%s]" % (shape_str(t.shape), ",".join(map(str, t.entries)))
 
 
 def delta_graded_dim_enum(cfg, n, shape):

@@ -22,7 +22,16 @@ from blobalg.calibrated import (
 from blobalg.cli import _CHECKS, run
 from blobalg.decomp import simple_dim_lower_bounds, simple_graded_dims
 from blobalg.params import load_config, parse_config, validate_config
-from blobalg.tableaux import count_std, parse_shape, shapes
+from blobalg.tableaux import (
+    count_std,
+    enumerate_std,
+    parse_shape,
+    shape_str,
+    shapes,
+    tableau_str,
+)
+
+from oracles import degree_klr_residues, degree_tiles_tilewise, tau_order_scan
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -530,6 +539,70 @@ def test_word_accepts_tableau_literal(capsys):
     rc, _, err = invoke(capsys, "word", "--config", str(CONFIGS / "e7.json"),
                         "--n", "3", "--shape", "(3,alpha1):[9,9,9]")
     assert rc == 2
+
+
+def _oracle_statistics(cfg, n):
+    """{shape: (degree rows, word rows)} from enumerate_std, tableau_str
+    and the embedded-path oracles."""
+    out = {}
+    for shape in shapes(n):
+        degrees, words = out[shape] = [], []
+        for t in enumerate_std(n, shape):
+            text = tableau_str(t)
+            degrees.append((text, degree_tiles_tilewise(cfg, n, t),
+                            degree_klr_residues(cfg, n, t)))
+            words.append((text, [yc - 1 for _, yc, _ in
+                                 reversed(tau_order_scan(cfg, n, t))]))
+    return out
+
+
+def _expect_statistics(n, fmt, degrees, words):
+    """{command: stdout} of degree and word for these rows."""
+    if fmt == "json":
+        return {
+            "degree": {"n": n, "degrees": [
+                {"tableau": s, "degree_tiles": a, "degree_klr": b}
+                for s, a, b in degrees]},
+            "word": {"n": n, "words": [
+                {"tableau": s, "length": len(w), "word": w}
+                for s, w in words]},
+        }
+    return {
+        "degree": "tableau\tdegree_tiles\tdegree_klr\n" + "".join(
+            "%s\t%d\t%d\n" % r for r in degrees),
+        "word": "tableau\tlength\tword\n" + "".join(
+            "%s\t%d\t%s\n" % (s, len(w), " ".join(map(str, w)))
+            for s, w in words),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_tableau_statistics_match_oracle_rows(capsys, path):
+    # degree and word stdout in both formats, whole at n <= 7 and per
+    # shape at n = 6, 7, and word on tableau literals, against rows
+    # built tableau by tableau
+    cfg = load_config(path)
+    for n in range(1, 8):
+        rows = _oracle_statistics(cfg, n)
+        whole = tuple(sum((r[i] for r in rows.values()), []) for i in (0, 1))
+        runs = [(whole, ())]
+        if n >= 6:
+            runs += [(rows[s], ("--shape", shape_str(s))) for s in shapes(n)]
+        for (degrees, words), flags in runs:
+            for fmt in ("tsv", "json"):
+                expect = _expect_statistics(n, fmt, degrees, words)
+                for command in ("degree", "word"):
+                    rc, out, _ = invoke(capsys, command, "--config", str(path),
+                                        "--n", str(n), *flags, "--format", fmt)
+                    assert rc == 0
+                    got = json.loads(out) if fmt == "json" else out
+                    assert got == expect[command], (n, flags, fmt, command)
+        for row in whole[1][:: max(1, len(whole[1]) // 8)]:
+            rc, out, _ = invoke(capsys, "word", "--config", str(path),
+                                "--n", str(n), "--shape", row[0])
+            assert rc == 0
+            assert out == _expect_statistics(n, "tsv", [], [row])["word"]
 
 
 def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):

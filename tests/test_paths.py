@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 from blobalg.paths import (
+    _lambda_negs,
+    _tile_runs,
     degree_klr,
+    degree_rows,
     degree_tiles,
     is_ladder,
     ladder_tableaux,
@@ -15,6 +18,7 @@ from blobalg.paths import (
     row_degrees,
     tau_order,
     walk_tables,
+    word_rows,
 )
 from blobalg.params import MARKER_LABELS, load_config
 from blobalg.tableaux import (
@@ -22,6 +26,7 @@ from blobalg.tableaux import (
     Tableau,
     enumerate_std,
     from_negated_set,
+    negated_sets,
     residue_seq,
     shapes,
     step_residue,
@@ -50,7 +55,9 @@ from oracles import (
     row_degree,
     sim_class_tableaux,
     sim_neighbors,
+    tableau_str_entries,
     tau_order_scan,
+    tile_order_buckets,
     tiles_embedded,
     translate,
     weyl_act,
@@ -225,13 +232,37 @@ def test_row_degrees_match_row_degree(cfg_name):
                         orbit, yc, a, b)
 
 
+def _runs_as_buckets(tab, left, right):
+    """_tile_runs in the form of the bucket oracle (tile_order_buckets)."""
+    return ([("L", tab.x0 + 2 * m, list(range(hi, lo - 1, -1)))
+             for m, lo, hi in left]
+            + [("R", tab.x0 + 2 * m, list(range(lo, hi + 1)))
+               for m, lo, hi in right])
+
+
 def _statistics_match_oracles(cfg, n):
-    for t in all_tableaux(n):
-        assert degree_tiles(cfg, n, t) == degree_tiles_tilewise(cfg, n, t), (n, t)
+    # the walk kernel's rows (degree_rows, word_rows) and the one-tableau
+    # wrappers against the embedded-path oracles, tableau by tableau
+    tabs = walk_tables(cfg, n)
+    rows = zip(all_tableaux(n),
+               (r for s in shapes(n)
+                for r in degree_rows(cfg, n, s, negated_sets(n, s))),
+               (r for s in shapes(n)
+                for r in word_rows(cfg, n, s, negated_sets(n, s))), strict=True)
+    for t, (text, tiles, klr), (word_text, word) in rows:
+        assert text == word_text == tableau_str_entries(t), (n, t)
+        tiles_o = degree_tiles_tilewise(cfg, n, t)
         order = tau_order_scan(cfg, n, t)
+        word_o = [yc - 1 for _, yc, _ in reversed(order)]
+        klr_o = degree_klr_residues(cfg, n, t)
+        assert (tiles, klr, word) == (tiles_o, klr_o, word_o), (n, t)
+        assert degree_tiles(cfg, n, t) == tiles_o, (n, t)
         assert tau_order(cfg, n, t) == order, (n, t)
-        assert reduced_word(cfg, n, t) == [yc - 1 for _, yc, _ in reversed(order)], (n, t)
-        assert degree_klr(cfg, n, t) == degree_klr_residues(cfg, n, t), (n, t)
+        assert reduced_word(cfg, n, t) == word_o, (n, t)
+        assert degree_klr(cfg, n, t) == klr_o, (n, t)
+        tab = tabs[t.shape]
+        runs = _tile_runs(sorted(t.negated_set()), _lambda_negs(tab.xs_l))
+        assert _runs_as_buckets(tab, *runs) == tile_order_buckets(cfg, n, t), (n, t)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -256,6 +287,12 @@ def test_tau_order_matches_pair_scan_at_e7_n10(cfg_e7):
     n = 10
     for t in all_tableaux(n):
         assert tau_order(cfg_e7, n, t) == tau_order_scan(cfg_e7, n, t), t
+
+
+def test_walk_kernel_matches_oracles_at_e7_n10(cfg_e7):
+    # the kernel's rows against the embedded-path oracles and the
+    # per-diagonal buckets, at a size where the runs are long
+    _statistics_match_oracles(cfg_e7, 10)
 
 
 def _walk_tables_match_residues(cfg, n):

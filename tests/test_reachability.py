@@ -28,7 +28,7 @@ MODULES = [blobalg] + [importlib.import_module("blobalg." + m.name)
                        for m in pkgutil.iter_modules(blobalg.__path__)]
 
 _TRACED = ("named by a perfbench/tracer.py span (tests/test_tracer_names.py); "
-           "goes when ROADMAP item 3 drops that span")
+           "goes when ROADMAP item 4 drops that span")
 _ACCEPTANCE = ("called as an attribute by tests/test_acceptance.py "
                "assertions, which stay as they are")
 
@@ -36,6 +36,8 @@ UNREACHED = {
     "tableaux.cstd": _TRACED,
     "tableaux._target_residues": "reads cstd's target; goes with cstd",
     "paths.residue_class_tableaux": _TRACED,
+    "paths.degree_tiles": _TRACED,
+    "paths.degree_klr": _TRACED,
     "paths.is_ladder": _TRACED,
     "paths.tau_order": _TRACED,
     "cli.main": "the console-script entry point, sys.exit(run())",

@@ -14,6 +14,7 @@ from blobalg.tableaux import (
     is_standard,
     is_valid_shape,
     max_negatives,
+    negated_sets,
     parse_shape,
     parse_tableau,
     residue_seq,
@@ -21,10 +22,17 @@ from blobalg.tableaux import (
     shapes,
     t_lambda,
     tableau_str,
+    tableau_texts,
 )
 
 from conftest import CONFIG_FACTORIES
-from oracles import box_contents, cstd_brute, shape_sort_key, weyl_act
+from oracles import (
+    box_contents,
+    cstd_brute,
+    shape_sort_key,
+    tableau_str_entries,
+    weyl_act,
+)
 
 
 def test_shapes_small():
@@ -293,6 +301,18 @@ def test_tableau_text_round_trip():
         parse_tableau("(2,alpha1)[-2,1,3,4]")  # missing colon
     with pytest.raises(ValueError):
         parse_tableau("(3,alpha1):[-2,1,3,4]")  # wrong parity for n=4
+
+
+def test_one_text_form_of_a_tableau():
+    # tableau_texts over the negated sets against the entries of every
+    # tableau enumerate_std builds, in the same order
+    for n in range(1, 9):
+        text = tableau_texts(n)
+        for s in shapes(n):
+            got = [text(s, negs) for negs in negated_sets(n, s)]
+            ts = list(enumerate_std(n, s))
+            assert got == [tableau_str_entries(t) for t in ts], (n, s)
+            assert got == [tableau_str(t) for t in ts], (n, s)
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())
