@@ -1,5 +1,14 @@
 """Command-line surface: enumeration, graded matrices, ladder bounds,
-and the floating-point relation checks, with TSV and JSON output."""
+and the floating-point relation checks, with TSV and JSON output.
+
+Most commands are short, so a process pays mostly for start-up.  This
+module therefore imports only params and the standard library at its
+top; each command (and each helper) imports the modules it runs at its
+own top, when it runs.  So validate loads neither tableaux, paths,
+decomp nor laurent, degree and word load neither decomp nor laurent,
+and only calibrated-check loads numpy.  The parser is built once per
+process, on the first call of run.
+"""
 
 import argparse
 import json
@@ -7,33 +16,14 @@ import math
 import os
 import sys
 import warnings
+from functools import cache
 
-from . import laurent
-from .decomp import (
-    blocks,
-    decomposition_from_delta,
-    delta_matrix,
-    simple_dim_lower_bounds,
-    simple_graded_dims,
-)
 from .params import (
     DEFAULT_TOL,
     Integral,
     config_to_obj,
     load_config,
     validate_config,
-)
-from .paths import degree_rows, ladder_tableaux, reduced_word, word_rows
-from .tableaux import (
-    count_std,
-    negated_sets,
-    parse_shape,
-    parse_tableau,
-    shape_str,
-    shapes,
-    tableau_str,
-    tableau_texts,
-    validate_shape,
 )
 
 __all__ = ["run", "main"]
@@ -76,6 +66,8 @@ def _load(path):
 
 
 def _shape_arg(text, n):
+    from .tableaux import parse_shape, validate_shape
+
     try:
         shape = parse_shape(text)
         validate_shape(n, shape)
@@ -85,6 +77,8 @@ def _shape_arg(text, n):
 
 
 def _shape_range(args):
+    from .tableaux import shapes
+
     if args.shape is None:
         return shapes(args.n)
     return [_shape_arg(args.shape, args.n)]
@@ -117,6 +111,8 @@ def _cmd_validate(args):
 
 
 def _cmd_shapes(args):
+    from .tableaux import count_std, shape_str, shapes
+
     rows = [(shape_str(s), count_std(args.n, s)) for s in shapes(args.n)]
     if args.format == "json":
         _out_json({"n": args.n,
@@ -127,6 +123,8 @@ def _cmd_shapes(args):
 
 
 def _cmd_tableaux(args):
+    from .tableaux import negated_sets, tableau_texts
+
     text = tableau_texts(args.n)
     out = [text(shape, negs) for shape in _shape_range(args)
            for negs in negated_sets(args.n, shape)]
@@ -138,6 +136,8 @@ def _cmd_tableaux(args):
 
 
 def _blocks_of(args, cfg):
+    from .decomp import blocks, delta_matrix
+
     d = delta_matrix(cfg, args.n)
     bls = blocks(d)
     if args.block_of is not None:
@@ -172,6 +172,8 @@ def _cmd_delta(args):
 
 
 def _cmd_decomp(args):
+    from .decomp import decomposition_from_delta
+
     cfg = _load(args.config)
     d, bls = _blocks_of(args, cfg)
     nmat = decomposition_from_delta(d)
@@ -179,6 +181,9 @@ def _cmd_decomp(args):
 
 
 def _cmd_blocks(args):
+    from .decomp import blocks, delta_matrix
+    from .tableaux import shape_str
+
     cfg = _load(args.config)
     d = delta_matrix(cfg, args.n)
     bls = blocks(d)
@@ -191,6 +196,9 @@ def _cmd_blocks(args):
 
 
 def _cmd_ladders(args):
+    from .paths import ladder_tableaux
+    from .tableaux import tableau_str
+
     cfg = _load(args.config)
     found = [tableau_str(t)
              for t in ladder_tableaux(cfg, args.n, _shape_range(args))]
@@ -207,6 +215,9 @@ def _warn_on_simple_dims(rows):
     implies: a self-dual simple module has a bar-symmetric graded
     dimension with nonnegative coefficients, at least its ladder bound
     at v = 1."""
+    from . import laurent
+    from .tableaux import shape_str
+
     for s, lo, d1, p in rows:
         broken = [what for what, bad in (
             ("not bar-symmetric", not laurent.is_bar_symmetric(p)),
@@ -218,6 +229,10 @@ def _warn_on_simple_dims(rows):
 
 
 def _cmd_bounds(args):
+    from . import laurent
+    from .decomp import simple_dim_lower_bounds, simple_graded_dims
+    from .tableaux import shape_str, shapes
+
     cfg = _load(args.config)
     lows = simple_dim_lower_bounds(cfg, args.n)
     dims = simple_graded_dims(cfg, args.n)
@@ -257,6 +272,7 @@ def _cmd_calibrated_check(args):
     # the first import of numpy; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import calibrated
+    from .tableaux import shape_str, shapes
 
     cfg = _load(args.config)
     need = calibrated.module_bytes(args.n)
@@ -298,6 +314,9 @@ def _cmd_calibrated_check(args):
 
 
 def _cmd_degree(args):
+    from .paths import degree_rows
+    from .tableaux import negated_sets
+
     cfg = _load(args.config)
     rows = [r for s in _shape_range(args)
             for r in degree_rows(cfg, args.n, s, negated_sets(args.n, s))]
@@ -313,6 +332,9 @@ def _cmd_degree(args):
 
 
 def _cmd_word(args):
+    from .paths import reduced_word, word_rows
+    from .tableaux import negated_sets, parse_tableau, tableau_str
+
     cfg = _load(args.config)
     if args.shape is not None and ":" in args.shape:
         try:
@@ -351,6 +373,7 @@ def _positive_float(text):
     return x
 
 
+@cache
 def _parser():
     top = argparse.ArgumentParser(
         prog="blobalg",

@@ -13,7 +13,6 @@ sum is the test oracle for Delta (``delta_matrix_cstd`` in tests/oracles.py).
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
 
 from . import laurent
 from .paths import split_walkers, walk_tables, walkers
@@ -38,7 +37,6 @@ def _label(s):
     return shape_str(s) if isinstance(s, Shape) else str(s)
 
 
-@dataclass(frozen=True)
 class GradedMatrix:
     """Square matrix of Laurent polynomials over an ordered label list.
 
@@ -46,21 +44,24 @@ class GradedMatrix:
     entry in row ``la``, column ``mu`` is a Laurent polynomial in the
     dict representation of :mod:`.laurent`.  ``conjectural`` marks
     matrices whose content rests on the decomposition conjecture and is
-    carried into every serialization.
+    carried into every serialization; equality ignores it.  A matrix is
+    unhashable, since its entries are dicts.
     """
 
-    shapes: tuple
-    rows: tuple
-    conjectural: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+    def __init__(self, shapes, rows, conjectural=False):
+        self.shapes = tuple(shapes)
+        self.rows = tuple(tuple(r) for r in rows)
+        self.conjectural = conjectural
         if len(self.rows) != len(self.shapes):
             raise ValueError("row count does not match label count")
         for r in self.rows:
             if len(r) != len(self.shapes):
                 raise ValueError("matrix is not square")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shapes == other.shapes and self.rows == other.rows
 
     @property
     def dim(self):
@@ -265,7 +266,9 @@ def na_factorize(delta):
     Works column by column from the right, rows nearest the diagonal
     first, so every term of the correction sum is already known.  The
     recursion runs inside each block; entries between blocks are zero
-    on both sides.
+    on both sides.  Raises RuntimeError if N*A differs from Delta on a
+    block.  By construction they agree, so the check only guards
+    laurent.bar_split and this recursion.
     """
     if not delta.is_lower_unitriangular():
         raise ValueError("matrix is not lower unitriangular")
@@ -274,7 +277,8 @@ def na_factorize(delta):
              for i in range(m)]
     arows = [[dict(_ONE) if i == j else {} for j in range(m)]
              for i in range(m)]
-    for blk in blocks(delta):
+    bls = blocks(delta)
+    for blk in bls:
         pos = [delta.index(s) for s in blk]
         for c in reversed(pos):
             for r in pos:
@@ -290,6 +294,10 @@ def na_factorize(delta):
                 nrows[r][c] = nn
     nmat = GradedMatrix(delta.shapes, tuple(map(tuple, nrows)))
     amat = GradedMatrix(delta.shapes, tuple(map(tuple, arows)))
+    for blk in bls:
+        if nmat.submatrix(blk).mul(amat.submatrix(blk)) != delta.submatrix(blk):
+            raise RuntimeError("N*A differs from Delta on the block of %s"
+                               % _label(blk[0]))
     return nmat, amat
 
 
@@ -310,7 +318,7 @@ def decomposition_from_delta(delta):
         warnings.warn(
             "negative coefficients in the decomposition matrix at: %s"
             % ", ".join("(%s, %s)" % (_label(a), _label(b)) for a, b in bad))
-    return replace(nmat, conjectural=True)
+    return GradedMatrix(nmat.shapes, nmat.rows, conjectural=True)
 
 
 def delta_graded_dim(cfg, n, shape):

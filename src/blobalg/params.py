@@ -18,22 +18,25 @@ ParamConfig answers the lattice questions: residue, invert_site (every
 inversion), on_hyperplane (a wall is a self-inverse residue, the value
 +-1) and marker_label_at.
 
-Configurations are plain frozen dataclasses; `parse_config` /
-`config_to_obj` convert to and from the strict JSON form, and
-`validate_config` returns a list of violations (empty means valid).
-The standing assumptions on alpha1, alpha2 and theta are stated once,
-in `standing_violations`: validate_config evaluates it on residues,
-calibrated.make_seed on the numeric values of a seed.
+Points, inversions, residues and configurations are NamedTuples, cheap
+to define at the import every command pays.  Being tuples, they equal
+plain tuples of their fields, and two kinds with equal fields equal each
+other (an Integral and a SelfInverse, a Formal and a Residue), so
+compare within one kind only.  `parse_config` / `config_to_obj` convert
+to and from the strict JSON form, and `validate_config` returns a list
+of violations (empty means valid).  The standing assumptions on alpha1,
+alpha2 and theta are stated once, in `standing_violations`:
+validate_config evaluates it on residues, calibrated.make_seed on the
+numeric values of a seed.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "INTEGRAL_ORBIT",
@@ -76,13 +79,11 @@ ALPHA_LABELS = ("alpha1", "alpha2", "alpha1_inv", "alpha2_inv")
 MARKER_LABELS = ALPHA_LABELS + ("theta", "theta_inv")
 
 
-@dataclass(frozen=True)
-class Integral:
+class Integral(NamedTuple):
     exp: int
 
 
-@dataclass(frozen=True)
-class Formal:
+class Formal(NamedTuple):
     orbit: str
     offset: int
 
@@ -90,21 +91,18 @@ class Formal:
 PointSpec = Union[Integral, Formal]
 
 
-@dataclass(frozen=True)
-class SelfInverse:
+class SelfInverse(NamedTuple):
     center: int
 
 
-@dataclass(frozen=True)
-class Paired:
+class Paired(NamedTuple):
     partner: str
 
 
 Inversion = Union[SelfInverse, Paired]
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple):
     """A point of a q^2-lattice: base of `orbit` times q^`exp`.
 
     Always construct residues through ParamConfig.residue so that the
@@ -119,18 +117,21 @@ class Residue:
         return "Residue(%s, %d)" % (self.orbit, self.exp)
 
 
-@dataclass(frozen=True)
-class ParamConfig:
+class _ConfigFields(NamedTuple):
+    e: Optional[int]
+    points: Mapping[str, PointSpec]
+    inversions: Mapping[str, Inversion]
+
+
+class ParamConfig(_ConfigFields):
     """e (None means infinity), the three points, and orbit inversions.
 
     The inversions mapping is symmetrically closed: if A is paired with
     A* then both directions are present.  Use make_config or
-    parse_config rather than the raw constructor.
+    parse_config rather than the raw constructor.  This subclass of the
+    fields keeps an instance __dict__ for its cached tables; the dicts
+    among its fields make it unhashable.
     """
-
-    e: Optional[int]
-    points: Mapping[str, PointSpec] = field(default_factory=dict)
-    inversions: Mapping[str, Inversion] = field(default_factory=dict)
 
     # -- residues -------------------------------------------------------
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ class Shape(NamedTuple):
     marker: str
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     shape: Shape
     entries: tuple
 

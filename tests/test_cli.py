@@ -310,7 +310,7 @@ def test_bounds_warns_on_broken_simple_dims(capsys, monkeypatch, what, broken):
         dims[la] = broken(dims[la], lo)
         return dims
 
-    monkeypatch.setattr(cli, "simple_graded_dims", patched)
+    monkeypatch.setattr("blobalg.decomp.simple_graded_dims", patched)
     seen = _bounds_warnings(capsys, "e7.json", n)
     assert len(seen) == 1
     assert seen[0].startswith("conjectural graded dimension of (0,theta): " + what)
@@ -646,14 +646,71 @@ def test_jobs_flag_is_ignored(capsys):
     assert out1 and out2 == out1
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # only calibrated-check needs numpy; it imports it when it runs
+_NOT_RUN_BY_EXACT = ("blobalg.calibrated", "dataclasses", "numpy")
+_UNLOADED = {
+    "validate": ("blobalg.tableaux", "blobalg.paths", "blobalg.decomp",
+                 "blobalg.laurent") + _NOT_RUN_BY_EXACT,
+    "degree": ("blobalg.decomp",) + _NOT_RUN_BY_EXACT,
+    "word": ("blobalg.decomp",) + _NOT_RUN_BY_EXACT,
+    "decomp": _NOT_RUN_BY_EXACT,
+    "bounds": _NOT_RUN_BY_EXACT,
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_UNLOADED))
+def test_command_leaves_unrun_modules_unloaded(cmd):
+    # a process loads only what its command runs, parser included: only
+    # calibrated-check needs numpy, and the exact path defines no dataclass
+    argv = [cmd, "--config", str(CONFIGS / "e7.json")]
+    if cmd != "validate":
+        argv += ["--n", "6"]
+    code = ("import sys; from blobalg.cli import run; rc = run(sys.argv[1:]); "
+            "sys.stderr.write(' '.join(sorted(sys.modules))); sys.exit(rc)")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, blobalg.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "blobalg.params" in loaded
+    assert loaded & set(_UNLOADED[cmd]) == set()
+
+
+def test_second_command_in_a_process_prints_what_a_fresh_one_does(capsys):
+    # run builds the parser once per process and reuses it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cfg = ("--config", str(CONFIGS / "e7.json"))
+    for argv in (("bounds", *cfg, "--n", "5"),
+                 ("validate", *cfg, "--format", "json"),
+                 ("word", *cfg, "--n", "4", "--shape", "(2,alpha1)")):
+        fresh = subprocess.run([sys.executable, "-m", "blobalg.cli", *argv],
+                               capture_output=True, env=env, cwd=ROOT,
+                               timeout=120)
+        rc, out, _ = invoke(capsys, *argv)
+        assert fresh.stdout and (rc, out.encode()) == (fresh.returncode,
+                                                        fresh.stdout), argv
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("cmd", ["decomp", "bounds"])
+def test_wrong_na_factor_fails_the_command(cmd):
+    # na_factorize checks N*A = Delta on every block: here bar_split puts
+    # an extra v into every entry of N below the diagonal
+    code = ("import sys\n"
+            "from blobalg import laurent\n"
+            "from blobalg.cli import run\n"
+            "split = laurent.bar_split\n"
+            "laurent.bar_split = lambda f: (split(f)[0],\n"
+            "                               laurent.add(split(f)[1], {1: 1}))\n"
+            "sys.exit(run(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, cmd, "--config",
+                           str(CONFIGS / "e7.json"), "--n", "6"],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "RuntimeError: N*A differs from Delta on the block of" in proc.stderr
 
 
 def test_console_script_installed():

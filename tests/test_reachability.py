@@ -45,7 +45,6 @@ UNREACHED = {
     "calibrated.Seminormal.nbytes": "the O(dim) storage of a generator",
     "decomp.GradedMatrix.identity": _ACCEPTANCE,
     "decomp.GradedMatrix.entry": _ACCEPTANCE,
-    "decomp.GradedMatrix.mul": _ACCEPTANCE,
     "laurent.is_positive": _ACCEPTANCE,
     "laurent.normalized": _ACCEPTANCE,
 }
