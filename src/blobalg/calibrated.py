@@ -48,9 +48,9 @@ import cmath
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +96,11 @@ class NonGenericSeedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NumericSeed:
+class NumericSeed(NamedTuple):
     q: complex
     q0: complex
     qn: complex
-    orbit_bases: dict = field(default_factory=dict)
+    orbit_bases: dict
     theta_value: complex = 0j
 
     @property
@@ -252,7 +251,6 @@ def make_seed(cfg, seed=None):
     raise NonGenericSeedError("could not sample a well-separated seed")
 
 
-@dataclass(frozen=True, eq=False)
 class Seminormal:
     """A dim x dim matrix with at most one off-diagonal entry per row and
     per column: M[r, r] = diag[r] and M[r, partner[r]] = off[r].
@@ -265,14 +263,13 @@ class Seminormal:
     A product with a dense array gathers and scales its rows or columns
     in O(dim^2) and is dense, as is the product of two Seminormal
     matrices; ``ndarray @ Seminormal`` dispatches to __rmatmul__.  Only
-    np.asarray forms the dense matrix itself.
+    np.asarray forms the dense matrix itself.  It compares by identity.
     """
 
-    diag: np.ndarray
-    partner: np.ndarray
-    off: np.ndarray
-
     __array_ufunc__ = None  # ndarray operators defer to this class
+
+    def __init__(self, diag, partner, off):
+        self.diag, self.partner, self.off = diag, partner, off
 
     @property
     def shape(self):
@@ -336,20 +333,18 @@ def _expand(word):
 def _scatter(res, coef, word):
     """Add coef times the product of a Seminormal word into dense res.
 
-    Each term column of _expand is a composition of partner involutions,
-    a permutation of the rows, so it is added by one fancy-index +=
-    without repeated entries; entry by entry, the terms are summed in
-    column order."""
+    All the terms of _expand go in by one unbuffered np.add.at, which
+    visits them row by row and, within a row, in term-column order; so
+    an entry receives its terms in column order, repeated columns
+    included, and the sum is the same, bit for bit, as one fancy-index
+    += per term column (each column is a permutation of the rows)."""
     cols, vals = _expand(word)
-    rows = np.arange(len(cols))
-    vals = coef * vals
-    for j in range(cols.shape[1]):
-        res[rows, cols[:, j]] += vals[:, j]
+    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
+    np.add.at(res, (rows, cols), coef * vals)
     return res
 
 
-@dataclass
-class CalibratedModule:
+class CalibratedModule(NamedTuple):
     shape: object
     n: int
     basis: list

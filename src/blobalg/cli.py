@@ -123,10 +123,11 @@ def _cmd_shapes(args):
 
 
 def _cmd_tableaux(args):
-    from .tableaux import negated_sets, tableau_texts
+    from .tableaux import negated_sets, shape_str, tableau_texts
 
-    text = tableau_texts(args.n)
-    out = [text(shape, negs) for shape in _shape_range(args)
+    entries = tableau_texts(args.n)
+    out = [shape_str(shape) + ":" + entries(negs)
+           for shape in _shape_range(args)
            for negs in negated_sets(args.n, shape)]
     if args.format == "json":
         _out_json({"n": args.n, "count": len(out), "tableaux": out})
@@ -313,27 +314,39 @@ def _cmd_calibrated_check(args):
     return 0 if ok else 1
 
 
-def _cmd_degree(args):
-    from .paths import degree_rows
+def _kernel_groups(args, cfg, kernel):
+    """The rows of degree or word (paths.degree_rows, word_rows), one
+    list per kernel pass over a group of shapes that share k, made as
+    they are read: TSV output holds one group's rows at a time."""
+    from itertools import groupby
+
     from .tableaux import negated_sets
 
-    cfg = _load(args.config)
-    rows = [r for s in _shape_range(args)
-            for r in degree_rows(cfg, args.n, s, negated_sets(args.n, s))]
+    groups = [list(g) for _, g in groupby(_shape_range(args),
+                                          key=lambda s: s.k)]
+    return (list(kernel(cfg, args.n, g, negated_sets(args.n, g[0])))
+            for g in groups)
+
+
+def _cmd_degree(args):
+    from .paths import degree_rows
+
+    groups = _kernel_groups(args, _load(args.config), degree_rows)
     if args.format == "json":
         _out_json({"n": args.n,
                    "degrees": [{"tableau": s, "degree_tiles": a,
-                                "degree_klr": b} for s, a, b in rows]})
+                                "degree_klr": b}
+                               for rows in groups for s, a, b in rows]})
     else:
-        lines = ["tableau\tdegree_tiles\tdegree_klr"]
-        lines.extend("%s\t%d\t%d" % r for r in rows)
-        _out("".join("%s\n" % l for l in lines))
+        _out("tableau\tdegree_tiles\tdegree_klr\n")
+        for rows in groups:
+            _out("".join(["%s\t%d\t%d\n" % r for r in rows]))
     return 0
 
 
 def _cmd_word(args):
     from .paths import reduced_word, word_rows
-    from .tableaux import negated_sets, parse_tableau, tableau_str
+    from .tableaux import parse_tableau, tableau_str
 
     cfg = _load(args.config)
     if args.shape is not None and ":" in args.shape:
@@ -341,19 +354,19 @@ def _cmd_word(args):
             t = parse_tableau(args.shape, n=args.n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        rows = [(tableau_str(t), reduced_word(cfg, args.n, t))]
+        word = reduced_word(cfg, args.n, t)
+        groups = [[(tableau_str(t), word, " ".join(map(str, word)))]]
     else:
-        rows = [r for s in _shape_range(args)
-                for r in word_rows(cfg, args.n, s, negated_sets(args.n, s))]
+        groups = _kernel_groups(args, cfg, word_rows)
     if args.format == "json":
         _out_json({"n": args.n,
-                   "words": [{"tableau": s, "length": len(w),
-                              "word": list(w)} for s, w in rows]})
+                   "words": [{"tableau": s, "length": len(w), "word": list(w)}
+                             for rows in groups for s, w, _ in rows]})
     else:
-        lines = ["tableau\tlength\tword"]
-        lines.extend("%s\t%d\t%s" % (s, len(w), " ".join(map(str, w)))
-                     for s, w in rows)
-        _out("".join("%s\n" % l for l in lines))
+        _out("tableau\tlength\tword\n")
+        for rows in groups:
+            _out("".join(["%s\t%d\t%s\n" % (s, len(w), text)
+                          for s, w, text in rows]))
     return 0
 
 

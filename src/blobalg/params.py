@@ -389,7 +389,7 @@ def validate_config(cfg):
              lambda r: cfg.on_hyperplane(r.orbit, r.exp))
     out = standing_violations(points, *rules)
     signed = " for one sign of a self-inverse orbit's base"
-    for images in _integral_images(cfg, points):
+    for images in _sign_images(cfg, points):
         out += [v + signed for v in standing_violations(images, *rules)
                 if v not in out and v + signed not in out]
     return out
@@ -439,17 +439,27 @@ def standing_violations(points, shift, same, wall):
     return out
 
 
-def _integral_images(cfg, points):
-    """At finite e, the special points once per choice of the signs that
+def _sign_images(cfg, points):
+    """The special points once per choice of the signs that
     calibrated.make_seed draws for the self-inverse formal orbits: x on
-    such an orbit, with center 2c, has the value +-q^(x - c), so it moves
-    to the integral point x - c or (as q^e = -1) x - c + e."""
+    such an orbit, with center 2c, has the value +-q^(x - c).  At finite
+    e it moves to the integral point x - c or (as q^e = -1) x - c + e.
+    At e = infinity the - sign keeps an orbit off the integral lattice,
+    as the residues have it, but two such orbits with that sign share
+    one lattice: x moves to x - c + c' on the first of them (center
+    2c')."""
     centers = {}
     for r in points.values():
         orbit, center = cfg.invert_site(r.orbit, 0)
         if orbit == r.orbit != INTEGRAL_ORBIT:
             centers[orbit] = center // 2
-    if cfg.e is None or not centers:
+    if cfg.e is None:
+        if len(centers) > 1:
+            first = min(centers)
+            yield {label: cfg.residue(first, r.exp - centers[r.orbit]
+                                      + centers[first])
+                   if r.orbit in centers else r
+                   for label, r in points.items()}
         return
     for signs in product((0, cfg.e), repeat=len(centers)):
         shift = dict(zip(centers, signs))

@@ -20,19 +20,28 @@ Every exact command reads them: decomp's Delta, graded dimensions and
 ladder bounds; here the ladder rule (walkers, split_walkers,
 ladder_tableaux), a subset construction over the walk states, and the
 walk kernel of degree and word (degree_rows, word_rows), which builds
-no Tableau, reads one row degree per row and the tile order as one
-interval of rows per diagonal (_tile_runs).  degree_tiles, tau_order,
-reduced_word and degree_klr are the kernel on one tableau.  The two
-degrees stay independent: degree_tiles scores rows, degree_klr swaps
-residue ids.  No path is embedded: max_shape reads a walk's two ends.
-cstd and residue_class_tableaux stay on Residue objects; the embedded
-paths, the similarity moves and the per-tile bucket form of the tile
-order are test oracles (tests/oracles.py).
+no Tableau and makes one pass per group of shapes sharing k.
+t_lambda's negated values depend on k alone, and so do the tiles of a
+tableau on each diagonal, which form one interval of rows given the
+diagonal's entry value: the per-k tables (_diagonals) hold each such
+run's letters and word text.  From them a pass builds the marker-free
+half of every row once (_halves: entries text, letters in tile order,
+word text) and, per shape, threads t_lambda's residue ids through the
+letters (degree_klr) and sums degree_tiles as differences of tail
+sums along the diagonals the walk runs on (_tail_sums), O(1) per
+negated value.  degree_tiles, tau_order, reduced_word and degree_klr
+are the kernel on one tableau.  The two degrees stay independent:
+degree_tiles scores rows, degree_klr swaps residue ids.  No path is
+embedded: max_shape reads a walk's two ends.  cstd and
+residue_class_tableaux stay on Residue objects; the embedded paths,
+the similarity moves, the per-tableau runs of the tile order and their
+threading, and its per-tile bucket form are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain
 from operator import getitem
 from typing import NamedTuple, Optional
 
@@ -43,6 +52,7 @@ from .tableaux import (
     is_valid_shape,
     max_negatives,
     residue_seq,
+    shape_str,
     shapes,
     step_residue,
     t_lambda,
@@ -234,83 +244,147 @@ def _lambda_negs(xs_l):
     return [j for j in range(len(xs_l) - 1, 0, -1) if xs_l[j] < xs_l[j - 1]]
 
 
-def _tile_runs(negs, lam):
-    """The tiles of the tableau with negated values negs (ascending) as
-    runs (left, right) in tau_order: (m, lo, hi) holds the tiles on the
-    diagonal xc - yc = x0 + 2m at rows lo..hi.  After j steps a walk is
-    at x0 + j + 2r, r its SW steps to come, so row j + 1 has left tiles
-    on the diagonals r <= m < r_lambda, right ones on r_lambda <= m < r.
-    With a, b entry m of negs and of lam (t_lambda's) read descending, 0
-    past the end, r <= m just when j >= a and r_lambda <= m just when
-    j >= b: left tiles at rows a + 1..b, right ones at b + 1..a."""
+def _diagonals(n, lam, top):
+    """The per-k tables: (left, right), where left[m][a] and right[m][a]
+    are the tiles on the diagonal xc - yc = x0 + 2m of a tableau whose
+    m-th largest negated value is a (0 past the end), for m < top (the
+    most negated values of a shape) and a in 0..n.
+
+    After j steps a walk is at x0 + j + 2r, r its SW steps to come, so
+    row j + 1 has left tiles on the diagonals r <= m < r_lambda, right
+    ones on r_lambda <= m < r.  With b entry m of lam (t_lambda's
+    negated values, descending, 0 past the end), r <= m just when
+    j >= a and r_lambda <= m just when j >= b: left tiles at rows
+    a + 1..b, right ones at b + 1..a.  An entry is (letters, text): the
+    letters yc - 1 of its tiles in tau_order (rows descending on the
+    left, ascending on the right) and, as word_rows prints them,
+    reversed.  lam depends on k alone, so the tables serve every marker
+    of k.
+    """
+    def entry(letters):
+        return letters, " ".join(map(str, reversed(letters)))
+
+    empty = ((), "")
     left, right = [], []
-    for m, (a, b) in enumerate(zip_longest(reversed(negs), lam, fillvalue=0)):
-        if a < b:
-            left.append((m, a + 1, b))
-        elif a > b:
-            right.append((m, b + 1, a))
-    left.reverse()
+    for m in range(top):
+        b = lam[m] if m < len(lam) else 0
+        left.append([entry(tuple(range(b - 1, a - 1, -1))) if a < b
+                     else empty for a in range(n + 1)])
+        right.append([entry(tuple(range(b, a))) if a > b else empty
+                      for a in range(n + 1)])
     return left, right
 
 
-def _klr(tab, left, right):
-    """degree_klr: t_lambda's residue ids threaded through the runs."""
-    seq = list(tab.seq)
-    inverse, s0, near = tab.inverse, tab.s0, tab.near
-    deg = 0
-    for ycs in ([range(hi, lo - 1, -1) for _, lo, hi in left]
-                + [range(lo, hi + 1) for _, lo, hi in right]):
-        for yc in ycs:          # the letter s_(yc - 1)
-            if yc == 1:
-                r = seq[0]
-                deg += s0[r]
-                seq[0] = inverse[r]
-            else:
-                a, b = seq[yc - 2], seq[yc - 1]
-                if a == b:
-                    deg -= 2
-                elif (a, b) in near:
-                    deg += 1
-                seq[yc - 2], seq[yc - 1] = b, a
-    return deg
+def _entry_values(negs, lam):
+    """The entry values a of a tableau's diagonals 0, 1, ...: its
+    negated values negs (ascending) read descending, 0 past the end,
+    over at least the diagonals of t_lambda's lam."""
+    return tuple(negs[::-1]) + (0,) * (len(lam) - len(negs))
 
 
-def degree_rows(cfg, n, shape, sets):
-    """(text, degree_tiles, degree_klr) of the tableaux of the shape with
-    negated values (ascending) in sets, building no Tableau.  The two
-    degrees read disjoint data: row degrees, and residue ids."""
-    tab, text = walk_tables(cfg, n)[shape], tableau_texts(n)
-    x0, xs, top = tab.x0, tab.xs_l, len(tab.sw) - 1
-    rows = [{x: tab.row(j + 1, x, xs[j])    # row j + 1 of a walk at x
-             for x in range(x0 + j, x0 + j + 2 * min(top, n - j) + 1, 2)}
-            for j in range(n)]
-    lam = _lambda_negs(xs)
+def _halves(n, group, tabs, sets):
+    """The marker-free half of each row of the shapes in group, which
+    share k: (entries, negs, letters, text) for each negated-value set
+    negs (ascending) in sets, read off the per-k tables (_diagonals).
+    letters are the letters of the tiles in tau_order, text the word as
+    word_rows prints it and entries the tableau's entries as
+    tableau_texts prints them."""
+    if len({shape.k for shape in group}) != 1:
+        raise ValueError("the shapes of one kernel pass share k")
+    lam = _lambda_negs(tabs[0].xs_l)
+    left, right = _diagonals(n, lam, len(tabs[0].sw) - 1)
+    entries = tableau_texts(n)
+    out = []
     for negs in sets:
-        yield (text(shape, negs),
-               sum(map(getitem, rows, _positions(x0, n, negs))),
-               _klr(tab, *_tile_runs(negs, lam)))
+        values = _entry_values(negs, lam)
+        runs = list(map(getitem, left, values))
+        runs.reverse()
+        runs += map(getitem, right, values)
+        out.append((entries(negs), negs,
+                    tuple(chain.from_iterable([r[0] for r in runs])),
+                    " ".join([r[1] for r in reversed(runs) if r[1]])))
+    return out
 
 
-def word_rows(cfg, n, shape, sets):
-    """(text, reduced_word) of the tableaux of the shape with negated
-    values (ascending) in sets, building no Tableau."""
-    text, lam = tableau_texts(n), _lambda_negs(walk_tables(cfg, n)[shape].xs_l)
-    for negs in sets:
-        left, right = _tile_runs(negs, lam)
-        word = []       # the letters yc - 1 of reversed tau_order
-        for _, lo, hi in reversed(right):
-            word.extend(range(hi - 1, lo - 2, -1))
-        for _, lo, hi in reversed(left):
-            word.extend(range(lo - 1, hi))
-        yield text(shape, negs), word
+def _tail_sums(n, tab):
+    """tail[r][j]: the sum of the row degrees of rows j + 1, j + 2, ...
+    along the SE diagonal of the walks with r SW steps to come, which
+    sit at x0 + j + 2r after j steps, up to that diagonal's last row
+    (n - r + 1, n at r = 0); 0 past it.  A walk with negated values
+    v_1 < ... < v_c runs along diagonal c - t at the rows v_t + 1 ..
+    v_(t+1) (v_0 = 0, v_(c+1) = n), so its degree_tiles is c + 1
+    differences of tail sums."""
+    x0, xs, row = tab.x0, tab.xs_l, tab.row
+    tail = []
+    for r in range(len(tab.sw)):
+        acc = [0] * (n + 1)
+        for j in range(min(n - 1, n - r), -1, -1):
+            acc[j] = acc[j + 1] + row(j + 1, x0 + j + 2 * r, xs[j])
+        tail.append(acc)
+    return tail
+
+
+def degree_rows(cfg, n, group, sets):
+    """(text, degree_tiles, degree_klr) of the tableaux of the shapes in
+    group, which share k, with negated values (ascending tuples) in
+    sets, shape by shape, building no Tableau.  The marker-free halves
+    of the rows (_halves) are built once for the group; per shape,
+    degree_tiles sums tail sums (_tail_sums) and degree_klr threads
+    t_lambda's residue ids through the shared letters.  The two degrees
+    read disjoint data: row degrees, and residue ids."""
+    tabs = [walk_tables(cfg, n)[shape] for shape in group]
+    halves = _halves(n, group, tabs, sets)
+    for shape, tab in zip(group, tabs):
+        head, tail = shape_str(shape) + ":", _tail_sums(n, tab)
+        seq0, inverse, s0, near = tab.seq, tab.inverse, tab.s0, tab.near
+        for entries, negs, letters, _ in halves:
+            tiles, j, r = 0, 0, len(negs)
+            for v in negs:
+                sums = tail[r]
+                tiles += sums[j] - sums[v]
+                j, r = v, r - 1
+            tiles += tail[0][j]
+            seq, klr = list(seq0), 0
+            for c in letters:       # the letter s_c
+                if c:
+                    a, b = seq[c - 1], seq[c]
+                    if a == b:
+                        klr -= 2
+                    elif (a, b) in near:
+                        klr += 1
+                    seq[c - 1], seq[c] = b, a
+                else:
+                    a = seq[0]
+                    klr += s0[a]
+                    seq[0] = inverse[a]
+            yield head + entries, tiles, klr
+
+
+def word_rows(cfg, n, group, sets):
+    """(text, word, word text) of the tableaux of the shapes in group,
+    which share k, with negated values (ascending tuples) in sets, shape
+    by shape, building no Tableau: the word, the letters of reversed
+    tau_order, and its text are built once for the group (_halves)."""
+    tabs = [walk_tables(cfg, n)[shape] for shape in group]
+    halves = [(entries, letters[::-1], text)
+              for entries, _, letters, text in _halves(n, group, tabs, sets)]
+    for shape in group:
+        head = shape_str(shape) + ":"
+        for entries, word, text in halves:
+            yield head + entries, word, text
+
+
+def _one(t):
+    """The kernel's arguments for the one tableau t."""
+    return [t.shape], [tuple(sorted(t.negated_set()))]
 
 
 def degree_tiles(cfg, n, t):
-    """Sum of tile_degree over the tiles of t, one row_degrees lookup
-    per row (degree_rows); the oracle sums tile by tile over embedded
+    """Sum of tile_degree over the tiles of t, as differences of tail
+    sums (degree_rows); the oracle sums tile by tile over embedded
     paths (``degree_tiles_tilewise`` in tests/oracles.py).  It stays for
     the span perfbench/tracer.py names until ROADMAP item 4 drops it."""
-    return next(degree_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[1]
+    return next(degree_rows(cfg, n, *_one(t)))[1]
 
 
 def tau_order(cfg, n, t):
@@ -318,7 +392,7 @@ def tau_order(cfg, n, t):
     its diagonal neighbours one column left (a right tile: right), least
     (yc, -xc) first on the left, then least (-yc, xc) on the right
     (``tau_order_scan`` in tests/oracles.py).  In u = xc + yc, w = xc -
-    yc the precedence is the product order on a skew shape (_tile_runs),
+    yc the precedence is the product order on a skew shape (_diagonals),
     so the available tiles form an antichain with yc strictly monotone:
     the first key decides, and left tiles come by xc - yc, then yc, both
     descending, right tiles by yc - xc descending, then yc ascending.
@@ -326,18 +400,21 @@ def tau_order(cfg, n, t):
     drops it.
     """
     tab = walk_tables(cfg, n)[t.shape]
-    left, right = _tile_runs(sorted(t.negated_set()), _lambda_negs(tab.xs_l))
-    return ([(yc + tab.x0 + 2 * m, yc, "L")
-             for m, lo, hi in left for yc in range(hi, lo - 1, -1)]
-            + [(yc + tab.x0 + 2 * m, yc, "R")
-               for m, lo, hi in right for yc in range(lo, hi + 1)])
+    lam = _lambda_negs(tab.xs_l)
+    left, right = _diagonals(n, lam, len(tab.sw) - 1)
+    values = _entry_values(_one(t)[1][0], lam)
+    ms = range(len(values))
+    return [(c + 1 + tab.x0 + 2 * m, c + 1, side)
+            for side, table, order in (("L", left, reversed(ms)),
+                                       ("R", right, ms))
+            for m in order for c in table[m][values[m]][0]]
 
 
 def reduced_word(cfg, n, t):
     """Letters of a reduced expression for the group element moving the
     distinguished tableau to t, printed last-applied-first: the tile
     contents yc - 1 in reversed tau_order (word_rows)."""
-    return next(word_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[1]
+    return list(next(word_rows(cfg, n, *_one(t)))[1])
 
 
 def degree_klr(cfg, n, t):
@@ -347,7 +424,7 @@ def degree_klr(cfg, n, t):
     if q^(+-2) apart); the oracle threads Residue objects
     (``degree_klr_residues`` in tests/oracles.py).  It stays for the
     span perfbench/tracer.py names until ROADMAP item 4 drops it."""
-    return next(degree_rows(cfg, n, t.shape, [sorted(t.negated_set())]))[2]
+    return next(degree_rows(cfg, n, *_one(t)))[2]
 
 
 # -- widest realization --------------------------------------------------

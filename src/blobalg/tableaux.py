@@ -286,17 +286,20 @@ def parse_shape(text):
 
 
 def tableau_texts(n):
-    """text(shape, negs): the one text form "(k,marker):[entries]" of a
-    tableau, from its negated values negs (ascending) and pieces for n."""
+    """entries(negs): the "[entries]" part of the one text form
+    "(k,marker):[entries]" of a tableau, from its negated values negs
+    (ascending) and pieces for n.  It does not depend on the marker, so
+    callers print shape_str(shape) + ":" before it."""
     neg = ["-%d" % v for v in range(n + 1)]
     pos = [str(v) for v in range(n + 1)]
-    return lambda shape, negs: "%s:[%s]" % (shape_str(shape), ",".join(
+    return lambda negs: "[%s]" % ",".join(
         [neg[v] for v in reversed(negs)]
-        + [pos[v] for v in range(1, n + 1) if v not in negs]))
+        + [pos[v] for v in range(1, n + 1) if v not in negs])
 
 
 def tableau_str(t):
-    return tableau_texts(len(t.entries))(t.shape, sorted(t.negated_set()))
+    entries = tableau_texts(len(t.entries))(sorted(t.negated_set()))
+    return "%s:%s" % (shape_str(t.shape), entries)
 
 
 def parse_tableau(text, n=None):

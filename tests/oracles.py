@@ -13,7 +13,10 @@ degree oracle scores a tile row tile by tile.  The tableau statistics
 oracles read no per-shape tables: they embed both paths of every
 tableau, score it tile by tile, order its tiles by a scan over all tile
 pairs or by bucketing them per diagonal, thread the reduced word
-through Residue objects, and print the tableau from its entries.  The graded
+through Residue objects, and print the tableau from its entries.  The
+per-tableau runs of the tile order (_tile_runs), one interval of rows
+per diagonal, and their threading through residue ids (_klr) are the
+reference for the walk kernel's per-k tables.  The graded
 oracles are the plain per-tableau definitions: they enumerate every
 standard tableau of the shape (or, for Delta, every coloured tableau
 through cstd) and score each by the tile-by-tile degree.  The ladder
@@ -40,6 +43,7 @@ configuration and the JSON reader of a Laurent polynomial.
 import cmath
 import heapq
 from collections import defaultdict
+from itertools import zip_longest
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,7 +436,7 @@ def tau_order_scan(cfg, n, t):
 
 
 def tile_order_buckets(cfg, n, t):
-    """Oracle for paths._tile_runs: tau_order as runs (side, k, ycs), the
+    """Oracle for _tile_runs: tau_order as runs (side, k, ycs), the
     tiles between the embedded paths of t and of t_lambda on the
     diagonal xc - yc = k at rows ycs, appended tile by tile to one
     bucket per diagonal and the buckets sorted."""
@@ -449,6 +453,47 @@ def tile_order_buckets(cfg, n, t):
                 right[k].append(yc)
     return ([("L", k, left[k]) for k in sorted(left, reverse=True)]
             + [("R", k, right[k][::-1]) for k in sorted(right)])
+
+
+def _tile_runs(negs, lam):
+    """Oracle for the per-k tables (paths._diagonals): the tiles of the
+    tableau with negated values negs (ascending) as runs (left, right)
+    in tau_order, one tableau at a time: (m, lo, hi) holds the tiles on
+    the diagonal xc - yc = x0 + 2m at rows lo..hi.  With a, b entry m of
+    negs and of lam (t_lambda's) read descending, 0 past the end, left
+    tiles lie at rows a + 1..b, right ones at b + 1..a."""
+    left, right = [], []
+    for m, (a, b) in enumerate(zip_longest(reversed(negs), lam, fillvalue=0)):
+        if a < b:
+            left.append((m, a + 1, b))
+        elif a > b:
+            right.append((m, b + 1, a))
+    left.reverse()
+    return left, right
+
+
+def _klr(tab, left, right):
+    """Oracle for the degree_klr of paths.degree_rows: t_lambda's
+    residue ids (tab, a paths.ShapeTables) threaded through the runs of
+    _tile_runs, each expanded into its range of rows."""
+    seq = list(tab.seq)
+    inverse, s0, near = tab.inverse, tab.s0, tab.near
+    deg = 0
+    for ycs in ([range(hi, lo - 1, -1) for _, lo, hi in left]
+                + [range(lo, hi + 1) for _, lo, hi in right]):
+        for yc in ycs:          # the letter s_(yc - 1)
+            if yc == 1:
+                r = seq[0]
+                deg += s0[r]
+                seq[0] = inverse[r]
+            else:
+                a, b = seq[yc - 2], seq[yc - 1]
+                if a == b:
+                    deg -= 2
+                elif (a, b) in near:
+                    deg += 1
+                seq[yc - 2], seq[yc - 1] = b, a
+    return deg
 
 
 def degree_klr_residues(cfg, n, t):

@@ -629,6 +629,28 @@ def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
     assert all(c <= per_run for c in calls.values()), calls
 
 
+def test_tableau_statistics_build_per_k_tables_once_per_k(capsys, monkeypatch):
+    # degree and word run one kernel pass per group of shapes sharing k,
+    # so the per-k tables are built once per k, not once per shape
+    built = []
+
+    def counted(n, lam, top, _real=paths._diagonals):
+        built.append(len(lam))
+        return _real(n, lam, top)
+
+    monkeypatch.setattr(paths, "_diagonals", counted)
+    n = 7
+    ks = {s.k for s in shapes(n)}
+    assert len(ks) < len(shapes(n))
+    for command in ("degree", "word"):
+        del built[:]
+        rc, out, _ = invoke(capsys, command, "--config",
+                            str(CONFIGS / "e7.json"), "--n", str(n))
+        assert rc == 0 and out
+        # t_lambda has (n - k) / 2 negated values
+        assert sorted(built) == sorted((n - k) // 2 for k in ks), command
+
+
 def test_byte_identical_reruns(capsys):
     args = ("decomp", "--config", str(CONFIGS / "e5-formal.json"), "--n", "10",
             "--jobs", "1", "--format", "json")
@@ -654,14 +676,17 @@ _UNLOADED = {
     "word": ("blobalg.decomp",) + _NOT_RUN_BY_EXACT,
     "decomp": _NOT_RUN_BY_EXACT,
     "bounds": _NOT_RUN_BY_EXACT,
+    "calibrated-check": ("blobalg.paths", "blobalg.decomp", "blobalg.laurent",
+                         "dataclasses"),
 }
 
 
 @pytest.mark.parametrize("cmd", sorted(_UNLOADED))
 def test_command_leaves_unrun_modules_unloaded(cmd):
     # a process loads only what its command runs, parser included: only
-    # calibrated-check needs numpy, and the exact path defines no dataclass
-    argv = [cmd, "--config", str(CONFIGS / "e7.json")]
+    # calibrated-check needs numpy, and no command defines a dataclass
+    config = "generic.json" if cmd == "calibrated-check" else "e7.json"
+    argv = [cmd, "--config", str(CONFIGS / config)]
     if cmd != "validate":
         argv += ["--n", "6"]
     code = ("import sys; from blobalg.cli import run; rc = run(sys.argv[1:]); "

@@ -178,6 +178,21 @@ def test_validate_self_inverse_points_as_q_powers():
                                        "theta equals alpha2" + signed]
 
 
+def test_validate_self_inverse_points_at_infinity():
+    # at e = infinity alpha1 and alpha2 are +-q^-3 on two self-inverse
+    # orbits with one center: with one sign they collide, and a + sign
+    # puts an inverse on theta = q^3, so no numeric seed exists
+    cfg = pm.make_config(
+        None,
+        {"alpha1": Formal("A", 0), "alpha2": Formal("B", 0),
+         "theta": Integral(3)},
+        {"A": SelfInverse(6), "B": SelfInverse(6)},
+    )
+    signed = " for one sign of a self-inverse orbit's base"
+    assert "special points collide: alpha2 equals alpha1" + signed in (
+        pm.validate_config(cfg))
+
+
 def test_validate_golden_configs(any_cfg):
     assert pm.validate_config(any_cfg) == []
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from blobalg.paths import (
+    _diagonals,
+    _entry_values,
     _lambda_negs,
-    _tile_runs,
     degree_klr,
     degree_rows,
     degree_tiles,
@@ -37,6 +38,8 @@ from blobalg.tableaux import (
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
     EmbeddedPath,
+    _klr,
+    _tile_runs,
     box_contents,
     canonical_key,
     coxeter_length,
@@ -240,29 +243,56 @@ def _runs_as_buckets(tab, left, right):
                for m, lo, hi in right])
 
 
+def _expect_entries(negs, lam, left, right):
+    """What the per-k tables (_diagonals) should hold at the entry values
+    of negs, from the runs of the _tile_runs oracle: a left run at rows
+    lo..hi applies the letters hi - 1 .. lo - 1 and prints them
+    ascending, a right run the reverse; every other diagonal is empty."""
+    values = _entry_values(negs, lam)
+    want = {side: [((), "")] * len(values) for side in "LR"}
+    for side, runs in (("L", left), ("R", right)):
+        for m, lo, hi in runs:
+            letters = tuple(range(lo - 1, hi))
+            if side == "L":
+                letters = letters[::-1]
+            want[side][m] = letters, " ".join(map(str, letters[::-1]))
+    return values, want
+
+
 def _statistics_match_oracles(cfg, n):
-    # the walk kernel's rows (degree_rows, word_rows) and the one-tableau
-    # wrappers against the embedded-path oracles, tableau by tableau
+    # the walk kernel's rows (degree_rows, word_rows), its per-k tables
+    # and the one-tableau wrappers against the embedded-path oracles and
+    # the per-tableau runs, tableau by tableau
     tabs = walk_tables(cfg, n)
+    diagonals = {}
     rows = zip(all_tableaux(n),
                (r for s in shapes(n)
-                for r in degree_rows(cfg, n, s, negated_sets(n, s))),
+                for r in degree_rows(cfg, n, [s], negated_sets(n, s))),
                (r for s in shapes(n)
-                for r in word_rows(cfg, n, s, negated_sets(n, s))), strict=True)
-    for t, (text, tiles, klr), (word_text, word) in rows:
+                for r in word_rows(cfg, n, [s], negated_sets(n, s))), strict=True)
+    for t, (text, tiles, klr), (word_text, word, printed) in rows:
         assert text == word_text == tableau_str_entries(t), (n, t)
         tiles_o = degree_tiles_tilewise(cfg, n, t)
         order = tau_order_scan(cfg, n, t)
         word_o = [yc - 1 for _, yc, _ in reversed(order)]
         klr_o = degree_klr_residues(cfg, n, t)
-        assert (tiles, klr, word) == (tiles_o, klr_o, word_o), (n, t)
+        assert (tiles, klr, list(word)) == (tiles_o, klr_o, word_o), (n, t)
+        assert printed == " ".join(map(str, word_o)), (n, t)
         assert degree_tiles(cfg, n, t) == tiles_o, (n, t)
         assert tau_order(cfg, n, t) == order, (n, t)
         assert reduced_word(cfg, n, t) == word_o, (n, t)
         assert degree_klr(cfg, n, t) == klr_o, (n, t)
         tab = tabs[t.shape]
-        runs = _tile_runs(sorted(t.negated_set()), _lambda_negs(tab.xs_l))
+        negs, lam = tuple(sorted(t.negated_set())), _lambda_negs(tab.xs_l)
+        runs = _tile_runs(negs, lam)
         assert _runs_as_buckets(tab, *runs) == tile_order_buckets(cfg, n, t), (n, t)
+        assert _klr(tab, *runs) == klr_o, (n, t)
+        if t.shape.k not in diagonals:
+            diagonals[t.shape.k] = _diagonals(n, lam, len(tab.sw) - 1)
+        left, right = diagonals[t.shape.k]
+        values, want = _expect_entries(negs, lam, *runs)
+        assert [left[m][a] for m, a in enumerate(values)] == want["L"], (n, t)
+        assert [right[m][a] for m, a in enumerate(values)] == want["R"], (n, t)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

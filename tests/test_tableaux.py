@@ -307,9 +307,10 @@ def test_one_text_form_of_a_tableau():
     # tableau_texts over the negated sets against the entries of every
     # tableau enumerate_std builds, in the same order
     for n in range(1, 9):
-        text = tableau_texts(n)
+        entries = tableau_texts(n)
         for s in shapes(n):
-            got = [text(s, negs) for negs in negated_sets(n, s)]
+            got = [shape_str(s) + ":" + entries(negs)
+                   for negs in negated_sets(n, s)]
             ts = list(enumerate_std(n, s))
             assert got == [tableau_str_entries(t) for t in ts], (n, s)
             assert got == [tableau_str(t) for t in ts], (n, s)
