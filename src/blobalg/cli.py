@@ -197,12 +197,10 @@ def _cmd_blocks(args):
 
 
 def _cmd_ladders(args):
-    from .paths import ladder_tableaux
-    from .tableaux import tableau_str
+    from .paths import ladder_rows
 
     cfg = _load(args.config)
-    found = [tableau_str(t)
-             for t in ladder_tableaux(cfg, args.n, _shape_range(args))]
+    found = ladder_rows(cfg, args.n, _shape_range(args))
     if args.format == "json":
         _out_json({"n": args.n, "ladders": found})
     else:

@@ -18,9 +18,10 @@ walk_tables builds what the walks of each shape read (ShapeTables)
 once per (configuration, n), with residues interned as small ids.
 Every exact command reads them: decomp's Delta, graded dimensions and
 ladder bounds; here the ladder rule (walkers, split_walkers,
-ladder_tableaux), a subset construction over the walk states, and the
-walk kernel of degree and word (degree_rows, word_rows), which builds
-no Tableau and makes one pass per group of shapes sharing k.
+ladder_rows), a subset construction over the walk states, and the walk
+kernel of degree and word (degree_rows, word_rows), one pass per group
+of shapes sharing k.  Both read negated-value sets, build no Tableau and
+print through one tableaux.tableau_texts.
 t_lambda's negated values depend on k alone, and so do the tiles of a
 tableau on each diagonal, which form one interval of rows given the
 diagonal's entry value: the per-k tables (_diagonals) hold each such
@@ -48,9 +49,9 @@ from typing import NamedTuple, Optional
 from .params import ALPHA_LABELS
 from .tableaux import (
     Shape,
-    enumerate_std,
     is_valid_shape,
     max_negatives,
+    negated_sets,
     residue_seq,
     shape_str,
     shapes,
@@ -75,7 +76,7 @@ __all__ = [
     "max_shape",
     "walkers",
     "split_walkers",
-    "ladder_tableaux",
+    "ladder_rows",
     "is_ladder",
 ]
 
@@ -168,7 +169,7 @@ def _build_walk_tables(cfg, n):
     inverse = tuple(ids[cfg.res_invert(r)] for r in res)
     # s_0 scores -2 on a wall (a self-inverse residue), +1 on an alpha
     s0 = tuple(-2 if inverse[i] == i
-               else 1 if cfg._markers.get(r) in ALPHA_LABELS else 0
+               else 1 if cfg.marker_label_at(*r) in ALPHA_LABELS else 0
                for i, r in enumerate(res))
     near = frozenset((i, ids[s]) for i, r in enumerate(res)
                      for s in (cfg.res_shift(r, 1), cfg.res_shift(r, -1))
@@ -489,40 +490,41 @@ def split_walkers(tables, j, counts):
 
 
 def _ladder_rule(cfg, n):
-    """The ladder test: a tableau's residue ids lead from all walkers to
-    the support of its class (moves memoized); it is a ladder when its c
-    is the least there (the widest path) and widest[shape][c] agrees."""
+    """The ladder test on ascending negated values: the tableau's residue ids
+    lead from all walkers to the support of its class (moves memoized); it is
+    a ladder when its c is the least there and widest[shape][c] agrees."""
     order, tables, start, widest = walkers(cfg, n)
     index = {shape: i for i, shape in enumerate(order)}
     root, moves = frozenset(start), {}  # (j, support) -> {id: next support}
 
-    def ladder(t):
-        i = index[t.shape]
+    def ladder(shape, negs):
+        i = index[shape]
         se, sw = tables[i].se, tables[i].sw
-        negs = t.negated_set()
         c = r = len(negs)
         support = root
         for j in range(n):
-            rid, r = (sw[r], r - 1) if j + 1 in negs else (se[j + r], r)
+            rid, r = (sw[r], r - 1) if r and negs[c - r] == j + 1 else (se[j + r], r)
             key = j, support
             if key not in moves:
                 moves[key] = {k: frozenset(sub) for k, sub in split_walkers(
                     tables, j, dict.fromkeys(support, 1)).items()}
             support = moves[key][rid]
-        return c == min(w[1] for w in support) and widest[i][c] == t.shape
+        return c == min(w[1] for w in support) and widest[i][c] == shape
 
     return ladder
 
 
-def ladder_tableaux(cfg, n, shapes):
-    """The ladder tableaux of the shapes in enumerate_std order
-    (_ladder_rule; ``is_ladder_class`` in tests/oracles.py over cstd)."""
-    ladder = _ladder_rule(cfg, n)
-    return [t for shape in shapes for t in enumerate_std(n, shape)
-            if ladder(t)]
+def ladder_rows(cfg, n, shapes):
+    """The rows "(k,marker):[entries]" of the ladder tableaux of the
+    shapes, in negated_sets order, building no Tableau (_ladder_rule;
+    ``is_ladder_class`` in tests/oracles.py over cstd)."""
+    ladder, entries = _ladder_rule(cfg, n), tableau_texts(n)
+    return [head + entries(negs) for shape in shapes
+            for head in [shape_str(shape) + ":"]
+            for negs in negated_sets(n, shape) if ladder(shape, negs)]
 
 
 def is_ladder(cfg, n, t):
     """Whether t is a ladder tableau (_ladder_rule).  It stays for the
     span perfbench/tracer.py names until ROADMAP item 4 drops it."""
-    return _ladder_rule(cfg, n)(t)
+    return _ladder_rule(cfg, n)(t.shape, sorted(t.negated_set()))

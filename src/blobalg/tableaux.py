@@ -146,16 +146,16 @@ def from_negated_set(n, shape, negs):
 
 
 def negated_sets(n, shape):
-    """Negated-value sets (ascending tuples) in enumerate_std order."""
+    """Negated-value sets (ascending tuples) by size, then lexicographically:
+    the one order in which every command lists tableaux."""
     for j in range(max_negatives(n, shape) + 1):
         yield from combinations(range(1, n + 1), j)
 
 
 def enumerate_std(n, shape):
-    """Yield all standard tableaux, ordered by negated-value set."""
-    for j in range(max_negatives(n, shape) + 1):
-        for negs in combinations(range(1, n + 1), j):
-            yield from_negated_set(n, shape, negs)
+    """Yield all standard tableaux, in negated_sets order."""
+    for negs in negated_sets(n, shape):
+        yield from_negated_set(n, shape, negs)
 
 
 def t_lambda(n, shape):

@@ -558,7 +558,7 @@ def delta_matrix_cstd(cfg, n):
 
 
 def is_ladder_class(cfg, n, t):
-    """Oracle for paths.ladder_tableaux and is_ladder: t's own path is
+    """Oracle for paths.ladder_rows and is_ladder: t's own path is
     the widest rightward presentation within its residue class, found
     by cstd over every shape (residue_class_tableaux), and t's shape is
     the max_shape of that path."""

@@ -629,6 +629,21 @@ def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
     assert all(c <= per_run for c in calls.values()), calls
 
 
+def test_ladders_build_no_tableau_per_row(capsys, monkeypatch):
+    # ladders tests negated-value sets and prints them through one
+    # tableau_texts, so neither a Tableau nor its text is built per row
+    calls = dict.fromkeys(("from_negated_set", "tableau_str"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(tableaux, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tableaux, name, counted)
+    rc, out, _ = invoke(capsys, "ladders", "--config",
+                        str(CONFIGS / "e7.json"), "--n", "7")
+    assert rc == 0 and len(out.splitlines()) > len(shapes(7))
+    assert calls == {"from_negated_set": 0, "tableau_str": 0}
+
+
 def test_tableau_statistics_build_per_k_tables_once_per_k(capsys, monkeypatch):
     # degree and word run one kernel pass per group of shapes sharing k,
     # so the per-k tables are built once per k, not once per shape

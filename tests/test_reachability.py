@@ -42,7 +42,9 @@ UNREACHED = {
     "paths.tau_order": _TRACED,
     "cli.main": "the console-script entry point, sys.exit(run())",
     "params.Residue.__repr__": "a dunder: how residues print in errors",
-    "calibrated.Seminormal.nbytes": "the O(dim) storage of a generator",
+    "calibrated.Seminormal.nbytes": (
+        "read by perfbench/tracer.py's calibrated.dense_bytes "
+        "(tests/test_tracer_names.py runs it); goes with ROADMAP item 4"),
     "decomp.GradedMatrix.identity": _ACCEPTANCE,
     "decomp.GradedMatrix.entry": _ACCEPTANCE,
     "laurent.is_positive": _ACCEPTANCE,
