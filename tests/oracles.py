@@ -769,32 +769,48 @@ def dense_xs(m):
     return list(_x_chain(m.t0v, m.t0, m.ts))
 
 
+def upcast_module(m, dtype=np.clongdouble):
+    """m with T_0, T_1 .. T_{n-1}, T_0v and T_n as dense dtype arrays
+    holding m's own entries: the dense checkers run on it evaluate the
+    relations of m's very generators in extended precision."""
+    return m._replace(t0=np.asarray(m.t0, dtype=dtype),
+                      ts=[np.asarray(mat, dtype=dtype) for mat in m.ts],
+                      t0v=np.asarray(m.t0v, dtype=dtype),
+                      tn=np.asarray(m.tn, dtype=dtype))
+
+
+def _dense_norm(mat, tol):
+    """calibrated._norm of a residual formed in any complex dtype,
+    rounded to complex first: numpy's linalg takes no clongdouble."""
+    return _norm(np.asarray(mat, dtype=complex), tol)
+
+
 def check_hecke_relations_dense(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals."""
     eye = np.eye(m.dim, dtype=complex)
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
-        rel["quadratic %s" % name] = _norm((mat - par * eye) @ (mat + eye / par), tol)
+        rel["quadratic %s" % name] = _dense_norm((mat - par * eye) @ (mat + eye / par), tol)
 
     *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
     for i, (na, a, _) in enumerate(chain):
         for nb, b, _ in chain[i + 2:]:
-            rel["commute %s %s" % (na, nb)] = _norm(a @ b - b @ a, tol)
+            rel["commute %s %s" % (na, nb)] = _dense_norm(a @ b - b @ a, tol)
     for name, b, _ in chain[2:-1]:
-        rel["commute T0v %s" % name] = _norm(t0v @ b - b @ t0v, tol)
+        rel["commute T0v %s" % name] = _dense_norm(t0v @ b - b @ t0v, tol)
 
     for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
-        rel["braid3 %s %s" % (na, nb)] = _norm(a @ b @ a - b @ a @ b, tol)
+        rel["braid3 %s %s" % (na, nb)] = _dense_norm(a @ b @ a - b @ a @ b, tol)
     if m.ts:
         for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
-            rel["braid4 %s %s" % (na, nb)] = _norm(a @ b @ a @ b - b @ a @ b @ a, tol)
+            rel["braid4 %s %s" % (na, nb)] = _dense_norm(a @ b @ a @ b - b @ a @ b @ a, tol)
 
     xs = dense_xs(m)
     for i in range(m.n):
         for j in range(i + 1, m.n):
             a, b = xs[i], xs[j]
-            rel["commute X%d X%d" % (i + 1, j + 1)] = _norm(a @ b - b @ a, tol)
+            rel["commute X%d X%d" % (i + 1, j + 1)] = _dense_norm(a @ b - b @ a, tol)
     return _report(rel, tol)
 
 
@@ -807,15 +823,15 @@ def check_tl_relations_dense(m, tol=DEFAULT_TOL):
     rel = {}
     for i, (name, mat, par) in enumerate(m.generators()):
         e = mat - par * eye
-        rel["square e%s" % ("0v" if name == "T0v" else i)] = _norm(
+        rel["square e%s" % ("0v" if name == "T0v" else i)] = _dense_norm(
             e @ e + _bracket(par) * e, tol)
         if i == 1 < m.n:
-            rel["smash e1 e0 e1"] = _norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
+            rel["smash e1 e0 e1"] = _dense_norm(e @ prev @ e - _bracket(q0 / q) * e, tol)
         if 2 <= i < m.n:
-            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _norm(prev @ e @ prev - prev, tol)
-            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _norm(e @ prev @ e - e, tol)
+            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _dense_norm(prev @ e @ prev - prev, tol)
+            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _dense_norm(e @ prev @ e - e, tol)
         if i == m.n >= 2:
-            rel["smash e%d en e%d" % (i - 1, i - 1)] = _norm(
+            rel["smash e%d en e%d" % (i - 1, i - 1)] = _dense_norm(
                 prev @ e @ prev - _bracket(qn / q) * prev, tol
             )
         prev = e
@@ -831,7 +847,7 @@ def check_jm_spectrum_dense(m, tol=DEFAULT_TOL):
     for i, x in enumerate(dense_xs(m), start=1):
         expected = np.array([m.gamma[r][i - 1] for r in range(m.dim)])
         rel["X%d diagonal" % i] = float(np.max(np.abs(np.diag(x) - expected)))
-        rel["X%d off-diagonal" % i] = _norm(x - np.diag(np.diag(x)), tol)
+        rel["X%d off-diagonal" % i] = _dense_norm(x - np.diag(np.diag(x)), tol)
     return _report(rel, tol)
 
 
@@ -852,9 +868,9 @@ def blob_check_dense(m, tol=DEFAULT_TOL):
             kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
         else:
             kappa = _bracket(th) - _bracket(m.seed.alpha2)
-        rel["I0 I1 I0 = kappa I0"] = _norm(i0 @ i1 @ i0 - kappa * i0, tol)
-        rel["I1 I0 I1 = kappa I1"] = _norm(i1 @ i0 @ i1 - kappa * i1, tol)
+        rel["I0 I1 I0 = kappa I0"] = _dense_norm(i0 @ i1 @ i0 - kappa * i0, tol)
+        rel["I1 I0 I1 = kappa I1"] = _dense_norm(i1 @ i0 @ i1 - kappa * i1, tol)
     else:
-        rel["I0 = 0"] = _norm(i0, tol)
-        rel["I1 = 0"] = _norm(i1, tol)
+        rel["I0 = 0"] = _dense_norm(i0, tol)
+        rel["I1 = 0"] = _dense_norm(i1, tol)
     return _report(rel, tol)

@@ -19,7 +19,7 @@ from blobalg.calibrated import (
     check_tl_relations,
     make_seed,
 )
-from blobalg.params import Formal, Integral, Paired, ParamConfig
+from blobalg.params import Formal, Integral, Paired, ParamConfig, SelfInverse
 from blobalg.tableaux import shapes
 
 from conftest import CONFIG_FACTORIES, valid_configs
@@ -31,6 +31,7 @@ from oracles import (
     check_tl_relations_dense,
     dense_products,
     dense_xs,
+    upcast_module,
 )
 
 CHECKS = (
@@ -177,10 +178,17 @@ def _compare(cfg, n, seed, noise_floor=math.inf):
     of T_0v can move X_5 by 1e-9 relative, so two double builds may
     differ by more (1.75e-9 on the explicit example below, where the
     structured X_5 is 5.7e-10 from the extended product).
-    Pass flags are compared for every check whose oracle max_residual
-    lies outside [tol/4, 4 tol]; inside that band two evaluation orders
-    of one relation may round to opposite sides of the gate (1.87e-8
-    against 1.31e-8 on one random configuration).
+    Pass flags are compared for every check whose reference
+    max_residual lies outside [tol/4, 4 tol]; inside that band two
+    evaluation orders of one relation may round to opposite sides of
+    the gate (1.87e-8 against 1.31e-8 on one random configuration).
+    The reference is the oracle report, except at the rounding floor:
+    there it is the dense checkers run on the module's own generators
+    in extended precision (upcast_module), since the double oracle can
+    be further from the exact residual of those generators than the
+    band allows (5.69e-8 against 1.14e-8 for I0 I1 I0 = kappa I0 on the
+    self-inverse example of the random test, where the module reads
+    6.49e-9).
     The module's X_i are its own rebuild (dense_xs), and what it keeps
     of them, diagonals and off-diagonal norms, must be theirs to the bit.
     """
@@ -205,11 +213,15 @@ def _compare(cfg, n, seed, noise_floor=math.inf):
         assert [x.diagonal().tobytes() for x in xs] == [x.tobytes() for x in m.xs]
         assert m.x_off == [float(np.linalg.norm(x - np.diag(np.diag(x))))
                            for x in xs]
-        for kind, got, want in reports:
+        refs = [want for _, _, want in reports]
+        if noisy:
+            exact = upcast_module(m)
+            refs = [oracle(exact) for _, _, oracle in CHECKS]
+        for (kind, got, want), ref in zip(reports, refs):
             assert list(got["relations"]) == list(want["relations"])
-            tol = want["tol"]
-            if not tol / 4 <= want["max_residual"] <= 4 * tol:
-                assert got["pass"] == want["pass"], (n, sh, kind)
+            tol = ref["tol"]
+            if not tol / 4 <= ref["max_residual"] <= 4 * tol:
+                assert got["pass"] == ref["pass"], (n, sh, kind)
             if noisy:
                 continue
             for name, value in got["relations"].items():
@@ -234,6 +246,13 @@ def test_shipped_configs_match_dense_oracle(cfg_name):
                              "theta": Integral(exp=17)},
                      inversions={"A": Paired(partner="A*"),
                                  "A*": Paired(partner="A")}), 0)
+@example(ParamConfig(e=None,
+                     points={"alpha1": Formal(orbit="B", offset=10),
+                             "alpha2": Formal(orbit="A*", offset=0),
+                             "theta": Integral(exp=6)},
+                     inversions={"A": Paired(partner="A*"),
+                                 "B": SelfInverse(center=-10),
+                                 "A*": Paired(partner="A")}), 1)
 def test_random_configs_match_dense_oracle(cfg, s):
     try:
         seed = make_seed(cfg, s)
