@@ -19,12 +19,19 @@ coefficient), O(dim) each; T_n is a dense array, and of each X_1,
 ..., X_n, diagonal up to rounding, only the diagonal and the Frobenius
 norm of the off-diagonal part are kept.  A product with a Seminormal
 factor gathers and scales rows or columns in O(dim^2), never a dense
-matmul.  A relation's residual is summed into one dense array: a word
-of k Seminormal factors is scattered into it term by term, at most 2^k
-terms per row, and only words involving T_n or the blob products are
-multiplied out.  A commutator [X_i, X_j] is first bounded in O(1) from
-those kept numbers; only where that bound reaches the tolerance are
-the two X's rebuilt and the commutator formed.
+matmul, and works in place, a strip at a time, on an array it owns.
+A relation's residual is summed into one dense array: a word of k
+Seminormal factors is scattered into it term by term, at most 2^k
+terms per row; any other word is evaluated outward from its dense
+factor (T_n, or e_n = T_n - qn kept unformed), so only a second dense
+factor costs a dense x dense product, and each product is added in and
+freed before the next term.  The blob idempotents I0 and I1 stay words
+of e-factors, braid4 Tn T{n-1} forms Tn T{n-1} Tn once, and square e_i
+is the value of quadratic T_i, the same matrix.  A commutator [X_i,
+X_j] is first bounded in O(1) from those kept numbers; only where that
+bound reaches the tolerance are the two X's rebuilt and the commutator
+formed.  Beside T_n a relation holds at most two dense arrays (three
+for a rebuilt X commutator), which module_bytes counts.
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
@@ -46,9 +53,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import random
-from functools import cached_property, reduce
+from contextlib import contextmanager
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -87,8 +94,8 @@ _DENOM_MARGIN = 0.25
 _DENOM_FLOOR = 1e-8
 
 
-# Size budget of one calibrated check (see module_bytes): 193 MiB at
-# n = 10 fits, 769 MiB at n = 11 does not.
+# Size budget of one calibrated check (see module_bytes): 385 MiB at
+# n = 11 fits, 1537 MiB at n = 12 does not.
 MAX_MODULE_BYTES = 512 * 2**20
 
 
@@ -297,17 +304,10 @@ class Seminormal:
     def __matmul__(self, other):
         if isinstance(other, Seminormal):
             return _scatter(np.zeros(self.shape, complex), 1, [self, other])
-        out = np.take(other, self.partner, axis=0).astype(complex, copy=False)
-        out *= self.off[:, None]
-        out += self.diag[:, None] * other
-        return out
+        return _lmul(self, np.array(other, dtype=complex))
 
     def __rmatmul__(self, other):
-        p = self.partner
-        out = np.take(other, p, axis=1).astype(complex, copy=False)
-        out *= self.off[p]
-        out += other * self.diag
-        return out
+        return _rmul(np.array(other, dtype=complex), self)
 
     def __array__(self, dtype=None, copy=None):
         rows = np.arange(len(self.diag))
@@ -333,14 +333,120 @@ def _expand(word):
 def _scatter(res, coef, word):
     """Add coef times the product of a Seminormal word into dense res.
 
-    All the terms of _expand go in by one unbuffered np.add.at, which
-    visits them row by row and, within a row, in term-column order; so
-    an entry receives its terms in column order, repeated columns
-    included, and the sum is the same, bit for bit, as one fancy-index
-    += per term column (each column is a permutation of the rows)."""
+    Below dim 256 all the terms of _expand go in by one unbuffered
+    np.add.at, which visits them row by row and, within a row, in
+    term-column order; so an entry receives its terms in column order,
+    repeated columns included, and the sum is the same, bit for bit, as
+    the one fancy-index += per term column (each column is a permutation
+    of the rows) that larger modules take, where it is the faster."""
     cols, vals = _expand(word)
-    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
-    np.add.at(res, (rows, cols), coef * vals)
+    if len(res) < 256:
+        rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
+        np.add.at(res, (rows, cols), coef * vals)
+        return res
+    vals = coef * vals
+    rows = np.arange(len(cols))
+    for j in range(cols.shape[1]):
+        res[rows, cols[:, j]] += vals[:, j]
+    return res
+
+
+def _strips(size):
+    """Slices covering range(size), each of at least 64 and about size /
+    8: the unit of every in-place product, whose temporaries are then an
+    eighth of the array."""
+    step = max(64, -(-size // 8))
+    return [slice(k, k + step) for k in range(0, size, step)]
+
+
+def _lmul(s, x):
+    """x <- s @ x in place for a Seminormal s, one strip of columns at a
+    time: each row becomes diag * row + off * partner row."""
+    diag, off = s.diag[:, None], s.off[:, None]
+    for c in _strips(x.shape[1]):
+        g = np.take(x[:, c], s.partner, axis=0)
+        g *= off
+        np.multiply(diag, x[:, c], out=x[:, c])
+        x[:, c] += g
+    return x
+
+
+class _Shifted(NamedTuple):
+    """mat + c * identity for a dense mat, never formed: a word that
+    starts at it copies mat and shifts the copy, and a product that reads
+    it shifts mat's own diagonal for its duration (_diagonal)."""
+    mat: np.ndarray
+    c: complex
+
+    @property
+    def shape(self):
+        return self.mat.shape
+
+
+@contextmanager
+def _diagonal(mat, diag):
+    """mat with diag on its diagonal for the duration; the old diagonal
+    is put back from a copy, bit for bit."""
+    saved = mat.diagonal().copy()
+    mat.flat[::len(mat) + 1] = diag
+    try:
+        yield mat
+    finally:
+        mat.flat[::len(mat) + 1] = saved
+
+
+def _rmul(x, f):
+    """x <- x @ f in place, one strip of rows at a time, for a Seminormal
+    f (each column becomes diag * column + off * partner column) or a
+    dense f, plain or _Shifted, that is not x."""
+    if isinstance(f, Seminormal):
+        off = f.off[f.partner]
+        for r in _strips(len(x)):
+            g = np.take(x[r], f.partner, axis=1)
+            g *= off
+            x[r] *= f.diag
+            x[r] += g
+        return x
+    mat, c = f if isinstance(f, _Shifted) else (f, 0)
+    with _diagonal(mat, mat.diagonal() + c):
+        for r in _strips(len(x)):
+            x[r] = x[r] @ mat
+    return x
+
+
+def _product(word):
+    """A word with a dense factor multiplied out into one new array,
+    outward from that factor: the first dense factor is copied (and
+    shifted), the Seminormal factors to its left are applied to the copy
+    right to left as row gathers, and the rest left to right, all in
+    place.  Only a second dense factor costs a dense x dense product."""
+    k = next(i for i, f in enumerate(word) if not isinstance(f, Seminormal))
+    mat, c = word[k] if isinstance(word[k], _Shifted) else (word[k], 0)
+    out = mat.copy()
+    if c:
+        out.flat[::len(out) + 1] += c
+    for f in reversed(word[:k]):
+        _lmul(f, out)
+    for f in word[k + 1:]:
+        _rmul(out, f)
+    return out
+
+
+def _add_pair(res, coef, a, b):
+    """res += coef * a @ b for two factors, plain and one at least dense,
+    a strip at a time: the product is never held whole."""
+    if isinstance(a, Seminormal):
+        for c in _strips(len(res)):
+            part = a @ b[:, c]
+            if coef != 1:
+                part *= coef
+            res[:, c] += part
+    else:
+        for r in _strips(len(res)):
+            part = a[r] @ b
+            if coef != 1:
+                part *= coef
+            res[r] += part
     return res
 
 
@@ -356,6 +462,9 @@ class CalibratedModule(NamedTuple):
     xs: list  # diagonals of X_1 .. X_n
     x_off: list  # Frobenius norms of X_1 .. X_n off their diagonals
     seed: NumericSeed
+    # reported residuals of (T - p)(T + 1/p) by (generator name, tol):
+    # quadratic T and square e (e = T - p) read the one evaluation
+    quadratics: dict
 
     @property
     def dim(self):
@@ -374,16 +483,19 @@ class CalibratedModule(NamedTuple):
 
 def module_bytes(n):
     """Peak bytes of a calibrated check at level n, from tableau counts
-    alone: 12 complex dim x dim arrays for the largest module, plus 1 MiB
-    for tableaux and reports.  A module holds one dense array, T_n.
-    Whole runs on the generic configuration peaked at 7.9, 7.5, 7.3 and
-    7.2 arrays at n = 7 .. 10 (tracemalloc, tol 1e-8), and at 8.5, 7.5
-    and 7.2 at n = 7 .. 9 with tol 1e-300, which sends every relation to
-    the SVD and rebuilds every X_i.  One array more is the SVD's copy of
-    its input, which tracemalloc does not see, and the rest is margin.
+    alone: 6 complex dim x dim arrays for the largest module, plus 1 MiB
+    for tableaux and reports.  A module holds one dense array, T_n, and
+    a relation at most two more (three while an X commutator is rebuilt:
+    the copy of X_i, the chain's X_j and the residual), plus strips of
+    an eighth.  Whole runs of generic seed 1 peaked at 6.7, 4.5, 3.7, 3.6
+    and 3.5 arrays at n = 7 .. 11 (tracemalloc, tol 1e-8), and at 7.1,
+    5.2, 4.5 and 4.4 at n = 7 .. 10 with tol 1e-300, which sends every
+    relation to the SVD and rebuilds every X_i; at n <= 8 most of that
+    is the 1 MiB.  One array more is the SVD's copy of its input, which
+    tracemalloc does not see, and the rest is margin.
     """
     dim = max(count_std(n, s) for s in shapes(n))
-    return 12 * dim * dim * np.dtype(complex).itemsize + 2**20
+    return 6 * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
 def build_calibrated(cfg, n, shape, seed):
@@ -460,26 +572,28 @@ def build_calibrated(cfg, n, shape, seed):
     g1 = np.array([g[0] for g in gamma], dtype=complex)
     t0v = Seminormal(g1 * (t0.diag + (1 / q0 - q0)), t0.partner, g1 * t0.off)
 
-    tn = t0v
+    tn = np.asarray(t0v)  # n = 1: T_n is T_0v itself
     for mat in ts:  # T_1 first, T_{n-1} outermost
-        tn = mat @ tn @ mat.shift(1 / q - q)
-    tn = np.asarray(tn)  # n = 1: T_n is T_0v itself
+        _rmul(_lmul(mat, tn), mat.shift(1 / q - q))
 
     xs, x_off = [], []
     for x in _x_chain(t0v, t0, ts):
         xs.append(x.diagonal().copy())
-        x_off.append(float(np.linalg.norm(_off_diagonal(x))))
+        with _diagonal(x, 0):
+            x_off.append(float(np.linalg.norm(x)))
     return CalibratedModule(shape, n, basis, gamma, t0, ts, t0v, tn, xs,
-                            x_off, seed)
+                            x_off, seed, {})
 
 
 def _x_chain(t0v, t0, ts):
-    """X_1 = T_0v T_0, X_{i+1} = T_i X_i T_i: the build and every rebuild."""
+    """X_1 = T_0v T_0, X_{i+1} = T_i X_i T_i: the build and every rebuild.
+
+    The chain holds one array: each X_{i+1} overwrites X_i in place, so
+    a caller that keeps an X_i past the next step copies it."""
     x = t0v @ t0
     yield x
     for mat in ts:
-        x = mat @ x @ mat
-        yield x
+        yield _rmul(_lmul(mat, x), mat)
 
 
 # -- relation reports ----------------------------------------------------
@@ -498,30 +612,44 @@ def _norm(mat, tol):
 
 
 def _shift(mat, c):
-    """mat + c * identity, for a Seminormal or a dense matrix."""
+    """mat + c * identity: a Seminormal, or a dense mat kept unformed."""
     if isinstance(mat, Seminormal):
         return mat.shift(c)
-    out = mat.copy()
-    out.flat[::len(out) + 1] += c
-    return out
+    return _Shifted(mat, c)
 
 
 def _residual(terms, tol):
     """Reported residual (as _norm) of sum(coef * product of word) over
-    the (coef, word) terms, each word a list of factors.
+    the (coef, word) terms, each word a list of factors: Seminormal,
+    dense, or dense _Shifted.
 
     A word of Seminormal factors only is scattered into the dense
-    residual, 2^k terms per row for k factors, without a product; any
-    other word is multiplied out left to right, by the O(dim^2)
-    products wherever one side is Seminormal.
+    residual, 2^k terms per row for k factors, without a product.  A
+    word of two plain factors is added in strip by strip (_add_pair).
+    Any other word is multiplied out by _product, outward from its first
+    dense factor, and added in; the residual is the first such product
+    when no term came before it.  So a relation holds, besides its
+    operands, the residual and at most one product, each freed before
+    the next term.
     """
     dim = terms[0][1][0].shape[0]
-    res = np.zeros((dim, dim), dtype=complex)
+    res = None
     for coef, word in terms:
         if all(isinstance(f, Seminormal) for f in word):
-            _scatter(res, coef, word)
+            res = _scatter(np.zeros((dim, dim), complex) if res is None else res,
+                           coef, word)
+        elif len(word) == 2 and not any(isinstance(f, _Shifted) for f in word):
+            res = _add_pair(np.zeros((dim, dim), complex) if res is None else res,
+                            coef, *word)
         else:
-            res += coef * reduce(operator.matmul, word)
+            prod = _product(word)
+            if coef != 1:
+                prod *= coef
+            if res is None:
+                res = prod
+            else:
+                res += prod
+            del prod
     return _norm(res, tol)
 
 
@@ -539,14 +667,26 @@ def _report(relations, tol):
     }
 
 
+def _quadratic(m, name, mat, par, tol):
+    """Reported residual of (T - p)(T + 1/p) for the generator T = mat,
+    p = par: quadratic T, and square e for e = T - p, since e^2 + [p] e
+    is the same matrix.  It is evaluated once per module and tol."""
+    key = name, tol
+    if key not in m.quadratics:
+        m.quadratics[key] = _residual(
+            [(1, [_shift(mat, -par), _shift(mat, 1 / par)])], tol)
+    return m.quadratics[key]
+
+
 def check_hecke_relations(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals; an
-    X-commutation value below tol is the bound of _x_commutators."""
+    X-commutation value below tol is the bound of _x_commutators.
+    braid4 Tn T{n-1} is the commutator of T{n-1} with Tn T{n-1} Tn,
+    whose dense x dense product is formed once."""
     rel = {}
     gens = m.generators()
     for name, mat, par in gens:
-        rel["quadratic %s" % name] = _residual(
-            [(1, [_shift(mat, -par), _shift(mat, 1 / par)])], tol)
+        rel["quadratic %s" % name] = _quadratic(m, name, mat, par, tol)
 
     *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
     for i, (na, a, _) in enumerate(chain):
@@ -559,19 +699,15 @@ def check_hecke_relations(m, tol=DEFAULT_TOL):
         rel["braid3 %s %s" % (na, nb)] = _residual(
             [(1, [a, b, a]), (-1, [b, a, b])], tol)
     if m.ts:
-        for (na, a, _), (nb, b, _) in ((chain[0], chain[1]), (chain[-1], chain[-2])):
-            rel["braid4 %s %s" % (na, nb)] = _residual(
-                [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
+        (na, a, _), (nb, b, _) = chain[0], chain[1]
+        rel["braid4 %s %s" % (na, nb)] = _residual(
+            [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
+        (na, a, _), (nb, b, _) = chain[-1], chain[-2]
+        rel["braid4 %s %s" % (na, nb)] = _residual(
+            _commutator(_product([a, b, a]), b), tol)
 
     rel.update(_x_commutators(m, tol))
     return _report(rel, tol)
-
-
-def _off_diagonal(x):
-    """A copy of x with its diagonal zeroed."""
-    e = x.copy()
-    e.flat[::len(e) + 1] = 0
-    return e
 
 
 def _x_commutators(m, tol):
@@ -584,7 +720,7 @@ def _x_commutators(m, tol):
     2 max|d_i| e_j + 2 max|d_j| e_i + 2 e_i e_j, in O(1).  Where that
     reaches tol, the commutator is formed from X_i and X_j rebuilt from
     the chain and reported as _residual does: one walk per such i, which
-    holds X_i and the current X_j, O(n dim^2) each.
+    holds a copy of X_i and the current X_j, O(n dim^2) each.
     """
     peaks = [float(np.max(np.abs(d))) for d in m.xs]
     rel = {}
@@ -597,23 +733,25 @@ def _x_commutators(m, tol):
                 far = j
         if far > i:
             chain = _x_chain(m.t0v, m.t0, m.ts)
-            a = next(islice(chain, i, None))
+            a = next(islice(chain, i, None)).copy()
             for j, b in enumerate(islice(chain, far - i), start=i + 1):
                 if rel[i, j] >= tol:
                     rel[i, j] = _residual(_commutator(a, b), tol)
+            del a, b, chain  # before the next walk holds its own
     return {"commute X%d X%d" % (i + 1, j + 1): value
             for (i, j), value in rel.items()}
 
 
 def check_tl_relations(m, tol=DEFAULT_TOL):
     """Square and smash relations for the e generators, formed one at a
-    time from generators() as in blob_check, e_0v last."""
+    time from generators() as in blob_check, e_0v last.  square e_i is
+    the value of quadratic T_i (_quadratic)."""
     q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
     rel = {}
     for i, (name, mat, par) in enumerate(m.generators()):
         e = _shift(mat, -par)
-        rel["square e%s" % ("0v" if name == "T0v" else i)] = _residual(
-            [(1, [e, e]), (_bracket(par), [e])], tol)
+        rel["square e%s" % ("0v" if name == "T0v" else i)] = _quadratic(
+            m, name, mat, par, tol)
         if i == 1 < m.n:
             rel["smash e1 e0 e1"] = _residual(
                 [(1, [e, prev, e]), (-_bracket(q0 / q), [e])], tol)
@@ -644,30 +782,34 @@ def check_jm_spectrum(m, tol=DEFAULT_TOL):
     chain = islice(_x_chain(m.t0v, m.t0, m.ts), far + 1)
     for i, x in enumerate(chain, start=1):
         if m.x_off[i - 1] >= tol:
-            rel["X%d off-diagonal" % i] = _norm(_off_diagonal(x), tol)
+            with _diagonal(x, 0):
+                rel["X%d off-diagonal" % i] = _norm(x, tol)
     return _report(rel, tol)
 
 
 def blob_check(m, tol=DEFAULT_TOL):
     """Alternating-product relations: the zero shape carries the kappa
     relations, every other shape is annihilated by both products.  I0
-    is the product of the even e_i, I1 of the odd e_i, i <= n."""
-    words = [[], []]
+    is the product of the even e_i, I1 of the odd e_i, i <= n.
+
+    Both stay words of e-factors, so _residual gathers them outward from
+    e_n: of I0 I1 I0 and I1 I0 I1, the one with e_n twice forms one dense
+    x dense product, the other none, and I0, I1 alone none."""
+    i0, i1 = [], []
     for i, (_, mat, par) in enumerate(m.generators()[:m.n + 1]):
-        words[i % 2].append(_shift(mat, -par))
+        (i1 if i % 2 else i0).append(_shift(mat, -par))
     rel = {}
     if m.shape.k == 0:
-        i0, i1 = (reduce(operator.matmul, w) for w in words)
         th, q = m.seed.theta_value, m.seed.q
         if m.n % 2 == 0:
             kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
         else:
             kappa = _bracket(th) - _bracket(m.seed.alpha2)
         rel["I0 I1 I0 = kappa I0"] = _residual(
-            [(1, [i0, i1, i0]), (-kappa, [i0])], tol)
+            [(1, i0 + i1 + i0), (-kappa, i0)], tol)
         rel["I1 I0 I1 = kappa I1"] = _residual(
-            [(1, [i1, i0, i1]), (-kappa, [i1])], tol)
+            [(1, i1 + i0 + i1), (-kappa, i1)], tol)
     else:
-        rel["I0 = 0"] = _residual([(1, words[0])], tol)
-        rel["I1 = 0"] = _residual([(1, words[1])], tol)
+        rel["I0 = 0"] = _residual([(1, i0)], tol)
+        rel["I1 = 0"] = _residual([(1, i1)], tol)
     return _report(rel, tol)

@@ -290,6 +290,7 @@ def _cmd_calibrated_check(args):
                 rel = rep["relations"]
                 results.append((shape, name, rep["max_residual"], rep["pass"],
                                 max(rel, key=rel.get)))
+            del mod  # before the next shape's module is built
     except calibrated.NonGenericSeedError as exc:
         raise _CheckFailure(str(exc)) from None
     worst = max(r[2] for r in results)

@@ -738,7 +738,7 @@ def build_calibrated_dense(cfg, n, shape, seed):
     return CalibratedModule(
         shape, n, basis, gamma, t0, ts, t0v, tn,
         [x.diagonal().copy() for x in xs],
-        [float(np.linalg.norm(x - np.diag(np.diag(x)))) for x in xs], seed)
+        [float(np.linalg.norm(x - np.diag(np.diag(x)))) for x in xs], seed, {})
 
 
 def dense_products(t0v, t0, ts, q, dtype=complex):
@@ -762,11 +762,14 @@ def dense_products(t0v, t0, ts, q, dtype=complex):
 
 
 def dense_xs(m):
-    """X_1 .. X_n of a module as dense arrays, rebuilt by the module's
-    own chain (calibrated._x_chain): Seminormal products on a module of
-    build_calibrated, dense ones on a module of build_calibrated_dense,
-    where they are dense_products' own."""
-    return list(_x_chain(m.t0v, m.t0, m.ts))
+    """X_1 .. X_n of a module as dense arrays: on a module of
+    build_calibrated, copies of what its own chain (calibrated._x_chain,
+    which overwrites each X_i with the next) rebuilds; on a module of
+    build_calibrated_dense or upcast_module, dense_products' own in the
+    module's dtype."""
+    if isinstance(m.t0, np.ndarray):
+        return dense_products(m.t0v, m.t0, m.ts, m.seed.q, m.t0.dtype.type)[1]
+    return [x.copy() for x in _x_chain(m.t0v, m.t0, m.ts)]
 
 
 def upcast_module(m, dtype=np.clongdouble):

@@ -401,8 +401,8 @@ def test_module_bytes_counts_the_largest_module(cfg_generic):
         arrays = [m.t0, m.t0v, m.tn] + m.ts + m.xs
         held.append(sum(a.nbytes for a in arrays))
     assert module_bytes(4) > max(held)
-    assert module_bytes(10) == 193 * 2**20 <= MAX_MODULE_BYTES
-    assert module_bytes(11) == 769 * 2**20 > MAX_MODULE_BYTES
+    assert module_bytes(11) == 385 * 2**20 <= MAX_MODULE_BYTES
+    assert module_bytes(12) == 1537 * 2**20 > MAX_MODULE_BYTES
 
 
 def test_module_bytes_bounds_the_traced_peak(capsys):
@@ -423,16 +423,35 @@ def test_module_bytes_bounds_the_traced_peak(capsys):
             assert peak <= module_bytes(n), (n, tol, peak, module_bytes(n))
 
 
+def test_calibrated_check_peak_at_n8(capsys):
+    # The benchmark's run, whole: T_n, a relation's residual and at most
+    # one product beside them, strip temporaries, and the tableaux and
+    # reports, which are most of the rest at dim 256.  Holding a second
+    # dense product, or two shifted copies of T_n, breaks the bound.
+    dim = max(count_std(8, s) for s in shapes(8))
+    tracemalloc.start()
+    try:
+        rc, _, _ = invoke(capsys, "calibrated-check", "--config",
+                          str(CONFIGS / "generic.json"), "--n", "8",
+                          "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert dim == 256
+    assert peak <= 4.5 * dim * dim * 16, peak / (dim * dim * 16)
+
+
 def test_calibrated_check_size_guard(capsys, monkeypatch):
     def no_build(*args):
         raise AssertionError("module built past the size guard")
 
     monkeypatch.setattr(calibrated, "build_calibrated", no_build)
     rc, out, err = invoke(capsys, "calibrated-check", "--config",
-                          str(CONFIGS / "generic.json"), "--n", "11")
+                          str(CONFIGS / "generic.json"), "--n", "12")
     assert rc == 2
     assert out == ""
-    assert "769 MiB" in err and "budget of 512 MiB" in err
+    assert "1537 MiB" in err and "budget of 512 MiB" in err
 
 
 def test_calibrated_check_non_generic_config_fails(capsys):

@@ -20,7 +20,7 @@ from blobalg.calibrated import (
     make_seed,
 )
 from blobalg.params import Formal, Integral, Paired, ParamConfig, SelfInverse
-from blobalg.tableaux import shapes
+from blobalg.tableaux import Shape, shapes
 
 from conftest import CONFIG_FACTORIES, valid_configs
 from oracles import (
@@ -261,3 +261,105 @@ def test_random_configs_match_dense_oracle(cfg, s):
     # random configurations reach residuals near 1e-8 from rounding alone
     for n in range(1, 6):
         _compare(cfg, n, seed, noise_floor=1e-10)
+
+
+# -- dense products: none twice, none where a word avoids one ----------------
+
+
+class _CountedTn(np.ndarray):
+    """T_n as an ndarray subclass that tallies its dense x dense products:
+    every array a word forms from T_n stays of this class, so each
+    np.matmul between two of them adds the rows x columns of its result,
+    in units of dim^2 (a product formed a strip at a time adds up to 1)."""
+
+    area = 0.0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            a, b = inputs
+            _CountedTn.area += a.shape[0] * b.shape[1] / len(b) ** 2
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedTn) else x
+                 for x in inputs]
+        if out is not None:
+            getattr(ufunc, method)(*plain, out=tuple(
+                o.view(np.ndarray) for o in out), **kwargs)
+            return out[0]
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(_CountedTn) if isinstance(result, np.ndarray) else result
+
+
+def _dense_products(m, check, monkeypatch):
+    """The report of one check on m with T_n counted, the dense x dense
+    products formed for each reported residual (those since the one
+    before it: every residual ends in one _norm), and those formed
+    after the last."""
+    m = m._replace(tn=m.tn.view(_CountedTn))
+    per = []
+    real = calibrated._norm
+
+    def counting(mat, tol):
+        per.append(_CountedTn.area - sum(per))
+        return real(mat, tol)
+
+    _CountedTn.area = 0.0
+    with monkeypatch.context() as mp:
+        mp.setattr(calibrated, "_norm", counting)
+        rep = check(m)
+    return rep, per, _CountedTn.area - sum(per)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_blob_words_form_one_dense_product(cfg_generic, n, monkeypatch):
+    # The zero shape's I0 and I1 stay words of e-factors: the relation
+    # with e_n twice forms one dense x dense product, the other none,
+    # and no idempotent is formed on its own.
+    m = build_calibrated(cfg_generic, n, Shape(0, "theta"), make_seed(cfg_generic, 1))
+    rep, per, outside = _dense_products(m, blob_check, monkeypatch)
+    twice = "I0 I1 I0 = kappa I0" if n % 2 == 0 else "I1 I0 I1 = kappa I1"
+    assert dict(zip(rep["relations"], per)) == {
+        name: 1.0 if name == twice else 0.0
+        for name in ("I0 I1 I0 = kappa I0", "I1 I0 I1 = kappa I1")}
+    assert outside == 0.0
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_no_relation_forms_two_dense_products(cfg_generic, n, monkeypatch):
+    # quadratic Tn and braid4 Tn T{n-1} form one dense x dense product
+    # each, nothing else in the Hecke check forms one, and the TL check
+    # run after it forms none: square en reads quadratic Tn's value.
+    m = build_calibrated(cfg_generic, n, Shape(0, "theta"), make_seed(cfg_generic, 1))
+    rep, per, outside = _dense_products(m, check_hecke_relations, monkeypatch)
+    # every X commutator is settled by its bound, so it takes no _norm
+    names = [name for name in rep["relations"] if not name.startswith("commute X")]
+    assert len(per) == len(names)
+    assert {name: k for name, k in zip(names, per) if k} == {
+        "quadratic Tn": 1.0, "braid4 Tn T%d" % (n - 1): 1.0}
+    assert outside == 0.0
+    _, per, outside = _dense_products(m, check_tl_relations, monkeypatch)
+    assert sum(per) == outside == 0.0
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_square_e_is_quadratic_t_to_the_bit(cfg_name):
+    # e^2 + [p] e = (T - p)(T + 1/p): check_tl_relations reports the
+    # value check_hecke_relations does, whether it runs after it or alone
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    seed = make_seed(cfg, 0)
+    seen = 0
+    for n in range(1, 7):
+        for sh in shapes(n):
+            m = _built(build_calibrated, cfg, n, sh, seed)
+            if isinstance(m, str):
+                continue
+            names = [name for name, _, _ in m.generators()]
+            squares = ["square e%s" % ("0v" if name == "T0v" else i)
+                       for i, name in enumerate(names)]
+            alone = check_tl_relations(m)["relations"]
+            m = build_calibrated(cfg, n, sh, seed)
+            quad = check_hecke_relations(m)["relations"]
+            after = check_tl_relations(m)["relations"]
+            for name, square in zip(names, squares):
+                want = quad["quadratic %s" % name]
+                assert alone[square] == after[square] == want, (n, sh, square)
+                seen += 1
+    assert seen > 100
