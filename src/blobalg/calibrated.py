@@ -333,21 +333,14 @@ def _expand(word):
 def _scatter(res, coef, word):
     """Add coef times the product of a Seminormal word into dense res.
 
-    Below dim 256 all the terms of _expand go in by one unbuffered
-    np.add.at, which visits them row by row and, within a row, in
-    term-column order; so an entry receives its terms in column order,
-    repeated columns included, and the sum is the same, bit for bit, as
-    the one fancy-index += per term column (each column is a permutation
-    of the rows) that larger modules take, where it is the faster."""
+    All the terms of _expand go in by one unbuffered np.add.at, which
+    visits them row by row and, within a row, in term-column order; so
+    an entry receives its terms in column order, repeated columns
+    included, and the sum is the same, bit for bit, as one fancy-index
+    += per term column (each column is a permutation of the rows)."""
     cols, vals = _expand(word)
-    if len(res) < 256:
-        rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
-        np.add.at(res, (rows, cols), coef * vals)
-        return res
-    vals = coef * vals
-    rows = np.arange(len(cols))
-    for j in range(cols.shape[1]):
-        res[rows, cols[:, j]] += vals[:, j]
+    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
+    np.add.at(res, (rows, cols), coef * vals)
     return res
 
 
@@ -463,7 +456,9 @@ class CalibratedModule(NamedTuple):
     x_off: list  # Frobenius norms of X_1 .. X_n off their diagonals
     seed: NumericSeed
     # reported residuals of (T - p)(T + 1/p) by (generator name, tol):
-    # quadratic T and square e (e = T - p) read the one evaluation
+    # quadratic T and square e (e = T - p) read the one evaluation.  A
+    # _replace of any generator must pass a fresh dict, or the new module
+    # reads the values of the old generators.
     quadratics: dict
 
     @property

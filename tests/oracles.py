@@ -775,11 +775,14 @@ def dense_xs(m):
 def upcast_module(m, dtype=np.clongdouble):
     """m with T_0, T_1 .. T_{n-1}, T_0v and T_n as dense dtype arrays
     holding m's own entries: the dense checkers run on it evaluate the
-    relations of m's very generators in extended precision."""
+    relations of m's very generators in extended precision.  It starts
+    an empty quadratics cache: m's holds values of its double-precision
+    generators."""
     return m._replace(t0=np.asarray(m.t0, dtype=dtype),
                       ts=[np.asarray(mat, dtype=dtype) for mat in m.ts],
                       t0v=np.asarray(m.t0v, dtype=dtype),
-                      tn=np.asarray(m.tn, dtype=dtype))
+                      tn=np.asarray(m.tn, dtype=dtype),
+                      quadratics={})
 
 
 def _dense_norm(mat, tol):

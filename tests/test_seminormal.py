@@ -292,7 +292,9 @@ def _dense_products(m, check, monkeypatch):
     """The report of one check on m with T_n counted, the dense x dense
     products formed for each reported residual (those since the one
     before it: every residual ends in one _norm), and those formed
-    after the last."""
+    after the last.  The counted module shares m's quadratics cache on
+    purpose: its T_n is a view of m's, entry for entry, and a check run
+    after another reads the values the first left there."""
     m = m._replace(tn=m.tn.view(_CountedTn))
     per = []
     real = calibrated._norm
