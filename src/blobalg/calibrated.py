@@ -17,9 +17,11 @@ diagonal and at most one off-diagonal entry per column, so they are
 stored as ``Seminormal`` (diagonal, partner index, off-diagonal
 coefficient), O(dim) each; T_n is a dense array, and of each X_1,
 ..., X_n, diagonal up to rounding, only the diagonal and the Frobenius
-norm of the off-diagonal part are kept.  A product with a Seminormal
-factor gathers and scales rows or columns in O(dim^2), never a dense
-matmul, and works in place, a strip at a time, on an array it owns.
+norm of the off-diagonal part are kept.  Seminormal defines no
+operators: a product with a Seminormal factor is one of three kernels,
+never a dense matmul.  _lmul and _rmul gather and scale the rows or
+columns of an array they own in O(dim^2), in place, a strip at a time,
+and _scatter adds a word of Seminormal factors into a dense array.
 A relation's residual is summed into one dense array: a word of k
 Seminormal factors is scattered into it term by term, at most 2^k
 terms per row; any other word is evaluated outward from its dense
@@ -63,7 +65,7 @@ import numpy as np
 
 from .params import (DEFAULT_TOL, INTEGRAL_ORBIT, MARKER_LABELS, res_to_complex,
                      standing_violations)
-from .tableaux import count_std, enumerate_std, residue_seq, shapes
+from .tableaux import Shape, count_std, enumerate_std, residue_seq
 
 __all__ = [
     "NonGenericSeedError",
@@ -267,13 +269,14 @@ class Seminormal:
     off[partner[c]].  T_0 .. T_{n-1} are symmetric (off[r] =
     off[partner[r]]); T_0v, a row scaling of T_0, is not.
 
-    A product with a dense array gathers and scales its rows or columns
-    in O(dim^2) and is dense, as is the product of two Seminormal
-    matrices; ``ndarray @ Seminormal`` dispatches to __rmatmul__.  Only
-    np.asarray forms the dense matrix itself.  It compares by identity.
+    The class defines no operators: its products are the in-place
+    kernels _lmul (s @ x) and _rmul (x @ s), which gather and scale the
+    rows or columns of a dense array in O(dim^2), and _scatter, which
+    adds a word of Seminormal factors into one.  Only np.asarray forms
+    the dense matrix itself.  It compares by identity.
     """
 
-    __array_ufunc__ = None  # ndarray operators defer to this class
+    __array_ufunc__ = None  # so any @ with an ndarray raises TypeError
 
     def __init__(self, diag, partner, off):
         self.diag, self.partner, self.off = diag, partner, off
@@ -300,14 +303,6 @@ class Seminormal:
     def shift(self, c):
         """self + c * identity."""
         return Seminormal(self.diag + c, self.partner, self.off)
-
-    def __matmul__(self, other):
-        if isinstance(other, Seminormal):
-            return _scatter(np.zeros(self.shape, complex), 1, [self, other])
-        return _lmul(self, np.array(other, dtype=complex))
-
-    def __rmatmul__(self, other):
-        return _rmul(np.array(other, dtype=complex), self)
 
     def __array__(self, dtype=None, copy=None):
         rows = np.arange(len(self.diag))
@@ -339,8 +334,7 @@ def _scatter(res, coef, word):
     included, and the sum is the same, bit for bit, as one fancy-index
     += per term column (each column is a permutation of the rows)."""
     cols, vals = _expand(word)
-    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
-    np.add.at(res, (rows, cols), coef * vals)
+    np.add.at(res, (np.arange(len(cols))[:, None], cols), coef * vals)
     return res
 
 
@@ -430,13 +424,14 @@ def _add_pair(res, coef, a, b):
     a strip at a time: the product is never held whole."""
     if isinstance(a, Seminormal):
         for c in _strips(len(res)):
-            part = a @ b[:, c]
+            part = _lmul(a, b[:, c].copy())
             if coef != 1:
                 part *= coef
             res[:, c] += part
     else:
         for r in _strips(len(res)):
-            part = a[r] @ b
+            part = (_rmul(a[r].copy(), b) if isinstance(b, Seminormal)
+                    else a[r] @ b)
             if coef != 1:
                 part *= coef
             res[r] += part
@@ -489,7 +484,7 @@ def module_bytes(n):
     is the 1 MiB.  One array more is the SVD's copy of its input, which
     tracemalloc does not see, and the rest is margin.
     """
-    dim = max(count_std(n, s) for s in shapes(n))
+    dim = count_std(n, Shape(0, "theta"))  # 2^n, the largest module
     return 6 * dim * dim * np.dtype(complex).itemsize + 2**20
 
 
@@ -585,7 +580,7 @@ def _x_chain(t0v, t0, ts):
 
     The chain holds one array: each X_{i+1} overwrites X_i in place, so
     a caller that keeps an X_i past the next step copies it."""
-    x = t0v @ t0
+    x = _scatter(np.zeros(t0.shape, complex), 1, [t0v, t0])
     yield x
     for mat in ts:
         yield _rmul(_lmul(mat, x), mat)

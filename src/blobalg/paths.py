@@ -22,22 +22,22 @@ ladder_rows), a subset construction over the walk states, and the walk
 kernel of degree and word (degree_rows, word_rows), one pass per group
 of shapes sharing k.  Both read negated-value sets, build no Tableau and
 print through one tableaux.tableau_texts.
-t_lambda's negated values depend on k alone, and so do the tiles of a
-tableau on each diagonal, which form one interval of rows given the
-diagonal's entry value: the per-k tables (_diagonals) hold each such
-run's letters and word text.  From them a pass builds the marker-free
-half of every row once (_halves: entries text, letters in tile order,
-word text) and, per shape, threads t_lambda's residue ids through the
-letters (degree_klr) and sums degree_tiles as differences of tail
-sums along the diagonals the walk runs on (_tail_sums), O(1) per
-negated value.  degree_tiles, tau_order, reduced_word and degree_klr
-are the kernel on one tableau.  The two degrees stay independent:
-degree_tiles scores rows, degree_klr swaps residue ids.  No path is
-embedded: max_shape reads a walk's two ends.  cstd and
-residue_class_tableaux stay on Residue objects; the embedded paths,
-the similarity moves, the per-tableau runs of the tile order and their
-threading, and its per-tile bucket form are test oracles
-(tests/oracles.py).
+t_lambda's negated values, read off tableaux.t_lambda (_lambda_negs),
+depend on k alone, and so do the tiles of a tableau on each diagonal,
+which form one interval of rows given the diagonal's entry value: the
+per-k tables (_diagonals) hold each such run's letters and word text.
+From them a pass builds the marker-free half of every row once
+(_halves: entries text, letters in tile order, word text) and, per
+shape, threads t_lambda's residue ids through the letters (degree_klr)
+and sums degree_tiles as differences of tail sums along the diagonals
+the walk runs on (_tail_sums), O(1) per negated value.  degree_tiles,
+tau_order, reduced_word and degree_klr are the kernel on one tableau.
+The two degrees stay independent: degree_tiles scores rows, degree_klr
+swaps residue ids.  No path is embedded: max_shape reads a walk's two
+ends.  cstd and residue_class_tableaux stay on Residue objects; the
+embedded paths, the similarity moves, the per-tableau runs of the tile
+order and their threading, and its per-tile bucket form are test
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def row_degrees(cfg, orbit, lo, hi):
 
 # -- the walk kernel: degrees and reduced words ----------------------------
 
-def _lambda_negs(xs_l):
-    """t_lambda's negated values, descending, off its vertex positions."""
-    return [j for j in range(len(xs_l) - 1, 0, -1) if xs_l[j] < xs_l[j - 1]]
+def _lambda_negs(n, shape):
+    """t_lambda's negated values, descending."""
+    return sorted(t_lambda(n, shape).negated_set(), reverse=True)
 
 
 def _diagonals(n, lam, top):
@@ -292,7 +292,7 @@ def _halves(n, group, tabs, sets):
     tableau_texts prints them."""
     if len({shape.k for shape in group}) != 1:
         raise ValueError("the shapes of one kernel pass share k")
-    lam = _lambda_negs(tabs[0].xs_l)
+    lam = _lambda_negs(n, group[0])
     left, right = _diagonals(n, lam, len(tabs[0].sw) - 1)
     entries = tableau_texts(n)
     out = []
@@ -401,7 +401,7 @@ def tau_order(cfg, n, t):
     drops it.
     """
     tab = walk_tables(cfg, n)[t.shape]
-    lam = _lambda_negs(tab.xs_l)
+    lam = _lambda_negs(n, t.shape)
     left, right = _diagonals(n, lam, len(tab.sw) - 1)
     values = _entry_values(_one(t)[1][0], lam)
     ms = range(len(values))

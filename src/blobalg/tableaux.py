@@ -141,6 +141,11 @@ def from_negated_set(n, shape, negs):
         raise ValueError("too many negative entries for %s" % (shape_str(shape),))
     if not all(1 <= v <= n for v in negs):
         raise ValueError("negated values must lie in 1..n")
+    return _tableau(n, shape, negs)
+
+
+def _tableau(n, shape, negs):
+    """The tableau with negated values negs (a set), unchecked."""
     entries = sorted(-v for v in negs) + sorted(set(range(1, n + 1)) - negs)
     return Tableau(shape, tuple(entries))
 
@@ -159,23 +164,11 @@ def enumerate_std(n, shape):
 
 
 def t_lambda(n, shape):
-    """The distinguished tableau: -2, -4, ... to the left of the bead,
-    1 on the bead, odd entries rightwards while boxes remain paired,
-    then consecutive."""
+    """The distinguished tableau: negated values 2, 4, ..., 2(p - 1), p
+    the bead box, so -2(p - 1), ..., -2 left of the bead, 1 on it, odd
+    entries rightwards while boxes remain paired, then consecutive."""
     validate_shape(n, shape)
-    if n == 0:
-        return Tableau(shape, ())
-    p = bead(n, shape.k)
-    entries = [-2 * (p - 1 - j) for j in range(p - 1)]
-    entries.append(1)
-    v = 3
-    for box in range(p + 1, n + 1):
-        if box <= 2 * p - 1:
-            entries.append(v)
-            v += 2
-        else:
-            entries.append(box)
-    return Tableau(shape, tuple(entries))
+    return _tableau(n, shape, frozenset(range(2, 2 * bead(n, shape.k) - 1, 2)))
 
 
 def is_standard(n, shape, entries):

@@ -7,6 +7,8 @@ wall oracle tests a position against the reflection center of its
 orbit, where ParamConfig.on_hyperplane asks whether the residue is its
 own inverse.  The residue oracle reads res_i(t) off the box contents
 (box_contents), where tableaux.residue_seq reads it off the walk.  The
+distinguished tableau oracle fills t_lambda box by box, where
+tableaux.t_lambda builds it from its negated values.  The
 marker oracle compares a position with all six special points in turn,
 without ParamConfig.marker_label_at's lookup table.  The row
 degree oracle scores a tile row tile by tile.  The tableau statistics
@@ -89,6 +91,7 @@ from blobalg.tableaux import (
     shapes,
     step_residue,
     t_lambda,
+    validate_shape,
     walk_start,
 )
 
@@ -325,6 +328,26 @@ def on_hyperplane_center(cfg, orbit, x):
     if cfg.e is None:
         return x == c
     return (x - c) % cfg.e == 0
+
+
+def t_lambda_entrywise(n, shape):
+    """The distinguished tableau box by box: -2, -4, ... to the left of
+    the bead, 1 on the bead, odd entries rightwards while boxes remain
+    paired, then consecutive."""
+    validate_shape(n, shape)
+    if n == 0:
+        return Tableau(shape, ())
+    p = bead(n, shape.k)
+    entries = [-2 * (p - 1 - j) for j in range(p - 1)]
+    entries.append(1)
+    v = 3
+    for box in range(p + 1, n + 1):
+        if box <= 2 * p - 1:
+            entries.append(v)
+            v += 2
+        else:
+            entries.append(box)
+    return Tableau(shape, tuple(entries))
 
 
 def box_contents(cfg, n, shape):

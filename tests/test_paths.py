@@ -283,7 +283,7 @@ def _statistics_match_oracles(cfg, n):
         assert reduced_word(cfg, n, t) == word_o, (n, t)
         assert degree_klr(cfg, n, t) == klr_o, (n, t)
         tab = tabs[t.shape]
-        negs, lam = tuple(sorted(t.negated_set())), _lambda_negs(tab.xs_l)
+        negs, lam = tuple(sorted(t.negated_set())), _lambda_negs(n, t.shape)
         runs = _tile_runs(negs, lam)
         assert _runs_as_buckets(tab, *runs) == tile_order_buckets(cfg, n, t), (n, t)
         assert _klr(tab, *runs) == klr_o, (n, t)

@@ -89,15 +89,22 @@ def test_seminormal_products_match_dense(dim, symmetric, monkeypatch):
     assert np.count_nonzero(ds - np.diag(np.diag(ds))) == np.count_nonzero(s.off)
     assert s.shape == (dim, dim)
     assert s.nbytes == s.diag.nbytes + s.partner.nbytes + s.off.nbytes
-    r = d.real  # a real operand takes the complex result type
-    want = {"s@d": ds @ d, "d@s": d @ ds, "s@r": ds @ r, "r@s": r @ ds,
-            "s@t": ds @ dt, "shift": ds + (0.5 - 2j) * np.eye(dim)}
+    # the products are the in-place kernels; the class has no operators,
+    # so @ raises rather than densifying a Seminormal
+    coef = 0.5 - 2j
+    want = {"s@d": ds @ d, "d@s": d @ ds, "d+c*s@t": d + coef * (ds @ dt),
+            "shift": ds + coef * np.eye(dim)}
     monkeypatch.setattr(Seminormal, "__array__", _no_array)
-    got = {"s@d": s @ d, "d@s": d @ s, "s@r": s @ r, "r@s": r @ s,
-           "s@t": s @ t, "shift": s.shift(0.5 - 2j)}
+    x, y, z = d.copy(), d.copy(), d.copy()
+    got = {"s@d": calibrated._lmul(s, x), "d@s": calibrated._rmul(y, s),
+           "d+c*s@t": calibrated._scatter(z, coef, [s, t]),
+           "shift": s.shift(coef)}
+    for a, b in ((s, d), (d, s), (s, t)):
+        with pytest.raises(TypeError):
+            a @ b
     monkeypatch.undo()
+    assert got["s@d"] is x and got["d@s"] is y and got["d+c*s@t"] is z
     assert isinstance(got["shift"], Seminormal)
-    assert all(type(got[k]) is np.ndarray for k in got if k != "shift")
     for key in want:
         _close(got[key], want[key], 1e-13)
 

@@ -30,6 +30,7 @@ from oracles import (
     box_contents,
     cstd_brute,
     shape_sort_key,
+    t_lambda_entrywise,
     tableau_str_entries,
     weyl_act,
 )
@@ -96,6 +97,15 @@ def test_t_lambda_golden():
     assert t_lambda(2, Shape(0, "theta")).entries == (-2, 1)
     # k = n means no paired boxes at all
     assert t_lambda(5, Shape(5, "alpha2")).entries == (1, 2, 3, 4, 5)
+
+
+def test_t_lambda_matches_entrywise_oracle():
+    # t_lambda from its negated values 2, 4, ..., 2(bead - 1) against
+    # the box-by-box filling, on every shape with n <= 24
+    pairs = [(n, s) for n in range(25) for s in shapes(n)]
+    assert len(pairs) == 601
+    for n, s in pairs:
+        assert t_lambda(n, s) == t_lambda_entrywise(n, s), (n, s)
 
 
 def test_t_lambda_is_standard_everywhere():
