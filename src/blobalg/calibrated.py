@@ -24,16 +24,18 @@ columns of an array they own in O(dim^2), in place, a strip at a time,
 and _scatter adds a word of Seminormal factors into a dense array.
 A relation's residual is summed into one dense array: a word of k
 Seminormal factors is scattered into it term by term, at most 2^k
-terms per row; any other word is evaluated outward from its dense
-factor (T_n, or e_n = T_n - qn kept unformed), so only a second dense
-factor costs a dense x dense product, and each product is added in and
-freed before the next term.  The blob idempotents I0 and I1 stay words
-of e-factors, braid4 Tn T{n-1} forms Tn T{n-1} Tn once, and square e_i
-is the value of quadratic T_i, the same matrix.  A commutator [X_i,
-X_j] is first bounded in O(1) from those kept numbers; only where that
-bound reaches the tolerance are the two X's rebuilt and the commutator
-formed.  Beside T_n a relation holds at most two dense arrays (three
-for a rebuilt X commutator), which module_bytes counts.
+terms per row; any other word is evaluated by _product, outward from
+its dense factor (T_n, or e_n = T_n - qn kept unformed), so only a
+second dense factor costs a dense x dense product.  A word with factors
+on one side of its dense factor is added a strip at a time, and any
+other product is added in and freed before the next term.  The blob
+idempotents I0 and I1 stay words of e-factors, braid4 Tn T{n-1} forms
+Tn T{n-1} Tn once, and square e_i is the value of quadratic T_i, the
+same matrix.  A commutator [X_i, X_j] is first bounded in O(1) from
+those kept numbers; only where that bound reaches the tolerance are the
+two X's rebuilt and the commutator formed.  Beside T_n a relation holds
+at most two dense arrays (three for a rebuilt X commutator), which
+module_bytes counts.
 
 A reported residual is an upper bound on the spectral norm of the
 residual matrix, exact whenever it is at or above the tolerance: the
@@ -325,8 +327,9 @@ def _expand(word):
     return cols.reshape(len(cols), -1), vals.reshape(len(cols), -1)
 
 
-def _scatter(res, coef, word):
-    """Add coef times the product of a Seminormal word into dense res.
+def _scatter(word, res=None, coef=1):
+    """Add coef times the product of a Seminormal word into dense res, or
+    into zeros when res is None.
 
     All the terms of _expand go in by one unbuffered np.add.at, which
     visits them row by row and, within a row, in term-column order; so
@@ -334,6 +337,8 @@ def _scatter(res, coef, word):
     included, and the sum is the same, bit for bit, as one fancy-index
     += per term column (each column is a permutation of the rows)."""
     cols, vals = _expand(word)
+    if res is None:
+        res = np.zeros((len(cols),) * 2, complex)
     np.add.at(res, (np.arange(len(cols))[:, None], cols), coef * vals)
     return res
 
@@ -365,10 +370,6 @@ class _Shifted(NamedTuple):
     mat: np.ndarray
     c: complex
 
-    @property
-    def shape(self):
-        return self.mat.shape
-
 
 @contextmanager
 def _diagonal(mat, diag):
@@ -383,9 +384,10 @@ def _diagonal(mat, diag):
 
 
 def _rmul(x, f):
-    """x <- x @ f in place, one strip of rows at a time, for a Seminormal
-    f (each column becomes diag * column + off * partner column) or a
-    dense f, plain or _Shifted, that is not x."""
+    """x <- x @ f in place for a Seminormal f, one strip of rows at a
+    time (each column becomes diag * column + off * partner column), or
+    for a dense f, plain or _Shifted, that is not x, by one product:
+    callers pass a strip of rows (_product)."""
     if isinstance(f, Seminormal):
         off = f.off[f.partner]
         for r in _strips(len(x)):
@@ -394,47 +396,49 @@ def _rmul(x, f):
             x[r] *= f.diag
             x[r] += g
         return x
-    mat, c = f if isinstance(f, _Shifted) else (f, 0)
-    with _diagonal(mat, mat.diagonal() + c):
-        for r in _strips(len(x)):
-            x[r] = x[r] @ mat
+    if isinstance(f, _Shifted):
+        with _diagonal(f.mat, f.mat.diagonal() + f.c):
+            x[...] = x @ f.mat
+    else:
+        x[...] = x @ f
     return x
 
 
-def _product(word):
-    """A word with a dense factor multiplied out into one new array,
-    outward from that factor: the first dense factor is copied (and
-    shifted), the Seminormal factors to its left are applied to the copy
-    right to left as row gathers, and the rest left to right, all in
-    place.  Only a second dense factor costs a dense x dense product."""
+def _product(word, res=None, coef=1):
+    """Add coef times a word with a dense factor into res, or return it
+    as a new array when res is None.
+
+    The word is multiplied outward from its first dense factor D, plain
+    or _Shifted, on a shifted copy of D: the Seminormal factors to D's
+    left are applied right to left as row gathers (_lmul), the rest left
+    to right (_rmul), all in place.  When res is given and D has factors
+    on one side only, one strip of D is copied at a time, columns for a
+    left side and rows for a right side, and each is added into res, so
+    the product is never held whole; otherwise D is copied whole.  Only
+    a second dense factor costs a dense x dense product, one per strip
+    of _strips(dim) rows either way, since a product over another row
+    count may round differently.
+    """
     k = next(i for i, f in enumerate(word) if not isinstance(f, Seminormal))
     mat, c = word[k] if isinstance(word[k], _Shifted) else (word[k], 0)
-    out = mat.copy()
-    if c:
-        out.flat[::len(out) + 1] += c
-    for f in reversed(word[:k]):
-        _lmul(f, out)
-    for f in word[k + 1:]:
-        _rmul(out, f)
-    return out
-
-
-def _add_pair(res, coef, a, b):
-    """res += coef * a @ b for two factors, plain and one at least dense,
-    a strip at a time: the product is never held whole."""
-    if isinstance(a, Seminormal):
-        for c in _strips(len(res)):
-            part = _lmul(a, b[:, c].copy())
-            if coef != 1:
-                part *= coef
-            res[:, c] += part
-    else:
-        for r in _strips(len(res)):
-            part = (_rmul(a[r].copy(), b) if isinstance(b, Seminormal)
-                    else a[r] @ b)
-            if coef != 1:
-                part *= coef
-            res[r] += part
+    left, right = word[:k], word[k + 1:]
+    whole = res is None or left and right
+    for s in [slice(None)] if whole else _strips(len(mat)):
+        win = (s, slice(None)) if right else (slice(None), s)
+        part = mat[win].copy()
+        if c:  # D's diagonal entries within the strip
+            block = part[:, s] if right else part[s]
+            block.flat[::len(block) + 1] += c
+        for f in reversed(left):
+            _lmul(f, part)
+        for r in _strips(len(part)) if whole else [slice(None)]:
+            for f in right:
+                _rmul(part[r], f)
+        if coef != 1:
+            part *= coef
+        if res is None:
+            return part
+        res[win] += part
     return res
 
 
@@ -477,10 +481,10 @@ def module_bytes(n):
     for tableaux and reports.  A module holds one dense array, T_n, and
     a relation at most two more (three while an X commutator is rebuilt:
     the copy of X_i, the chain's X_j and the residual), plus strips of
-    an eighth.  Whole runs of generic seed 1 peaked at 6.7, 4.5, 3.7, 3.6
-    and 3.5 arrays at n = 7 .. 11 (tracemalloc, tol 1e-8), and at 7.1,
-    5.2, 4.5 and 4.4 at n = 7 .. 10 with tol 1e-300, which sends every
-    relation to the SVD and rebuilds every X_i; at n <= 8 most of that
+    an eighth.  Whole runs of generic seed 1 peaked at 5.2, 4.0, 3.5, 3.4
+    and 3.3 arrays at n = 7 .. 11 (tracemalloc, tol 1e-8), and at 6.1,
+    5.0, 4.5 and 4.4 at n = 7 .. 10 with tol 1e-300, which sends every
+    relation to the SVD and rebuilds every X_i; at n = 7 most of that
     is the 1 MiB.  One array more is the SVD's copy of its input, which
     tracemalloc does not see, and the rest is margin.
     """
@@ -580,7 +584,7 @@ def _x_chain(t0v, t0, ts):
 
     The chain holds one array: each X_{i+1} overwrites X_i in place, so
     a caller that keeps an X_i past the next step copies it."""
-    x = _scatter(np.zeros(t0.shape, complex), 1, [t0v, t0])
+    x = _scatter([t0v, t0])
     yield x
     for mat in ts:
         yield _rmul(_lmul(mat, x), mat)
@@ -614,32 +618,18 @@ def _residual(terms, tol):
     dense, or dense _Shifted.
 
     A word of Seminormal factors only is scattered into the dense
-    residual, 2^k terms per row for k factors, without a product.  A
-    word of two plain factors is added in strip by strip (_add_pair).
-    Any other word is multiplied out by _product, outward from its first
-    dense factor, and added in; the residual is the first such product
-    when no term came before it.  So a relation holds, besides its
-    operands, the residual and at most one product, each freed before
-    the next term.
+    residual, 2^k terms per row for k factors, without a product
+    (_scatter).  Any other word is multiplied out by _product, outward
+    from its first dense factor; the residual is the first term's value.
+    A later word with factors on one side of its dense factor is added
+    a strip at a time, and any other is multiplied out whole and added
+    in.  So a relation holds, besides its operands, the residual and at
+    most one product, each freed before the next term.
     """
-    dim = terms[0][1][0].shape[0]
     res = None
     for coef, word in terms:
-        if all(isinstance(f, Seminormal) for f in word):
-            res = _scatter(np.zeros((dim, dim), complex) if res is None else res,
-                           coef, word)
-        elif len(word) == 2 and not any(isinstance(f, _Shifted) for f in word):
-            res = _add_pair(np.zeros((dim, dim), complex) if res is None else res,
-                            coef, *word)
-        else:
-            prod = _product(word)
-            if coef != 1:
-                prod *= coef
-            if res is None:
-                res = prod
-            else:
-                res += prod
-            del prod
+        res = (_scatter if all(isinstance(f, Seminormal) for f in word)
+               else _product)(word, res, coef)
     return _norm(res, tol)
 
 

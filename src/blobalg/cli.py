@@ -344,8 +344,8 @@ def _cmd_degree(args):
 
 
 def _cmd_word(args):
-    from .paths import reduced_word, word_rows
-    from .tableaux import parse_tableau, tableau_str
+    from .paths import word_rows
+    from .tableaux import parse_tableau
 
     cfg = _load(args.config)
     if args.shape is not None and ":" in args.shape:
@@ -353,8 +353,8 @@ def _cmd_word(args):
             t = parse_tableau(args.shape, n=args.n)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        word = reduced_word(cfg, args.n, t)
-        groups = [[(tableau_str(t), word, " ".join(map(str, word)))]]
+        groups = [list(word_rows(cfg, args.n, [t.shape],
+                                 [tuple(sorted(t.negated_set()))]))]
     else:
         groups = _kernel_groups(args, cfg, word_rows)
     if args.format == "json":

@@ -414,7 +414,8 @@ def tau_order(cfg, n, t):
 def reduced_word(cfg, n, t):
     """Letters of a reduced expression for the group element moving the
     distinguished tableau to t, printed last-applied-first: the tile
-    contents yc - 1 in reversed tau_order (word_rows)."""
+    contents yc - 1 in reversed tau_order (word_rows).  It stays for
+    the span perfbench/tracer.py names until ROADMAP item 4 drops it."""
     return list(next(word_rows(cfg, n, *_one(t)))[1])
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "shape_str",
     "parse_shape",
     "tableau_texts",
-    "tableau_str",
     "parse_tableau",
 ]
 
@@ -288,11 +287,6 @@ def tableau_texts(n):
     return lambda negs: "[%s]" % ",".join(
         [neg[v] for v in reversed(negs)]
         + [pos[v] for v in range(1, n + 1) if v not in negs])
-
-
-def tableau_str(t):
-    entries = tableau_texts(len(t.entries))(sorted(t.negated_set()))
-    return "%s:%s" % (shape_str(t.shape), entries)
 
 
 def parse_tableau(text, n=None):

@@ -28,10 +28,14 @@ from blobalg.tableaux import (
     parse_shape,
     shape_str,
     shapes,
-    tableau_str,
 )
 
-from oracles import degree_klr_residues, degree_tiles_tilewise, tau_order_scan
+from oracles import (
+    degree_klr_residues,
+    degree_tiles_tilewise,
+    tableau_str_entries,
+    tau_order_scan,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -561,13 +565,13 @@ def test_word_accepts_tableau_literal(capsys):
 
 
 def _oracle_statistics(cfg, n):
-    """{shape: (degree rows, word rows)} from enumerate_std, tableau_str
-    and the embedded-path oracles."""
+    """{shape: (degree rows, word rows)} from enumerate_std, the text
+    printed from each tableau's entries and the embedded-path oracles."""
     out = {}
     for shape in shapes(n):
         degrees, words = out[shape] = [], []
         for t in enumerate_std(n, shape):
-            text = tableau_str(t)
+            text = tableau_str_entries(t)
             degrees.append((text, degree_tiles_tilewise(cfg, n, t),
                             degree_klr_residues(cfg, n, t)))
             words.append((text, [yc - 1 for _, yc, _ in
@@ -650,8 +654,8 @@ def test_tableau_statistics_embed_each_shape_once(capsys, monkeypatch):
 
 def test_ladders_build_no_tableau_per_row(capsys, monkeypatch):
     # ladders tests negated-value sets and prints them through one
-    # tableau_texts, so neither a Tableau nor its text is built per row
-    calls = dict.fromkeys(("from_negated_set", "tableau_str"), 0)
+    # tableau_texts, so no Tableau is built per row
+    calls = dict.fromkeys(("from_negated_set",), 0)
     for name in calls:
         def counted(*args, _real=getattr(tableaux, name), _name=name):
             calls[_name] += 1
@@ -660,7 +664,7 @@ def test_ladders_build_no_tableau_per_row(capsys, monkeypatch):
     rc, out, _ = invoke(capsys, "ladders", "--config",
                         str(CONFIGS / "e7.json"), "--n", "7")
     assert rc == 0 and len(out.splitlines()) > len(shapes(7))
-    assert calls == {"from_negated_set": 0, "tableau_str": 0}
+    assert calls == {"from_negated_set": 0}
 
 
 def test_tableau_statistics_build_per_k_tables_once_per_k(capsys, monkeypatch):

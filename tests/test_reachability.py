@@ -40,6 +40,9 @@ UNREACHED = {
     "paths.degree_klr": _TRACED,
     "paths.is_ladder": _TRACED,
     "paths.tau_order": _TRACED,
+    "paths.reduced_word": _TRACED,
+    "paths._one": ("builds the one-tableau arguments of the tracer-named "
+                   "adapters; goes with them"),
     "cli.main": "the console-script entry point, sys.exit(run())",
     "params.Residue.__repr__": "a dunder: how residues print in errors",
     "calibrated.Seminormal.nbytes": (

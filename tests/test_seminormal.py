@@ -97,7 +97,7 @@ def test_seminormal_products_match_dense(dim, symmetric, monkeypatch):
     monkeypatch.setattr(Seminormal, "__array__", _no_array)
     x, y, z = d.copy(), d.copy(), d.copy()
     got = {"s@d": calibrated._lmul(s, x), "d@s": calibrated._rmul(y, s),
-           "d+c*s@t": calibrated._scatter(z, coef, [s, t]),
+           "d+c*s@t": calibrated._scatter([s, t], z, coef),
            "shift": s.shift(coef)}
     for a, b in ((s, d), (d, s), (s, t)):
         with pytest.raises(TypeError):
@@ -107,6 +107,27 @@ def test_seminormal_products_match_dense(dim, symmetric, monkeypatch):
     assert isinstance(got["shift"], Seminormal)
     for key in want:
         _close(got[key], want[key], 1e-13)
+
+
+@pytest.mark.parametrize("dim", [200, 1024])
+def test_strips_add_the_whole_product_to_the_bit(dim):
+    # Given res, a word with factors on one side of its dense factor is
+    # added a strip at a time (columns for a left side, rows for a right
+    # side); the sum is the whole product's, bit for bit, and so is a
+    # dense x dense product, which is one BLAS call per strip of rows
+    # either way.
+    rng = np.random.default_rng(dim)
+    d, e, r = _dense(rng, dim), _dense(rng, dim), _dense(rng, dim)
+    words = [[d, e]]
+    if dim < 1024:
+        s, t = _random_seminormal(rng, dim, True), _random_seminormal(rng, dim, False)
+        words += [[s, t, calibrated._Shifted(d, 0.3 - 1.1j)],
+                  [d, s, t], [calibrated._Shifted(e, 2j), t, s]]
+    assert len(calibrated._strips(dim)) > 2
+    coef = 0.5 - 2j
+    for w in words:
+        assert np.array_equal(calibrated._product(w, r.copy(), coef),
+                              r + calibrated._product(w, None, coef))
 
 
 @pytest.mark.parametrize("dim", [1, 5, 24])
