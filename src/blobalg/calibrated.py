@@ -22,19 +22,17 @@ operators: a product with a Seminormal factor is one of three kernels,
 never a dense matmul.  _lmul and _rmul gather and scale the rows or
 columns of an array they own in O(dim^2), in place, a strip at a time,
 and _scatter adds a word of Seminormal factors into a dense array.
-A relation's residual is summed into one dense array: a word of k
-Seminormal factors is scattered into it term by term, at most 2^k
-terms per row; any other word is evaluated by _product, outward from
-its dense factor (T_n, or e_n = T_n - qn kept unformed), so only a
-second dense factor costs a dense x dense product.  A word with factors
-on one side of its dense factor is added a strip at a time, and any
-other product is added in and freed before the next term.  The blob
-idempotents I0 and I1 stay words of e-factors, braid4 Tn T{n-1} forms
-Tn T{n-1} Tn once, and square e_i is the value of quadratic T_i, the
-same matrix.  A commutator [X_i, X_j] is first bounded in O(1) from
-those kept numbers; only where that bound reaches the tolerance are the
-two X's rebuilt and the commutator formed.  Beside T_n a relation holds
-at most two dense arrays (three for a rebuilt X commutator), which
+Every relation of the hecke, tl and blob checks is stated once, as a
+row of _relations (a name and its terms), and _residual sums the terms
+into one dense array: a word of k Seminormal factors is scattered into
+it, at most 2^k terms per row; any other word is evaluated by _product,
+outward from its dense factor (T_n, or e_n = T_n - qn kept unformed),
+so only a second dense factor costs a dense x dense product, and where
+its factors lie on one side of that factor it is added a strip at a
+time.  A commutator [X_i, X_j] is first bounded in O(1) from those kept
+numbers; only where that bound reaches the tolerance are the two X's
+rebuilt and the commutator formed.  Beside T_n a relation holds at most
+two dense arrays (three for a rebuilt X commutator), which
 module_bytes counts.
 
 A reported residual is an upper bound on the spectral norm of the
@@ -414,31 +412,35 @@ def _product(word, res=None, coef=1):
     to right (_rmul), all in place.  When res is given and D has factors
     on one side only, one strip of D is copied at a time, columns for a
     left side and rows for a right side, and each is added into res, so
-    the product is never held whole; otherwise D is copied whole.  Only
-    a second dense factor costs a dense x dense product, one per strip
-    of _strips(dim) rows either way, since a product over another row
-    count may round differently.
+    the product is never held whole (a plain D's strip times a plain
+    dense first right factor is formed as that product, not copied
+    first); otherwise D is copied whole.  Only a second dense factor
+    costs a dense x dense product, one per strip of _strips(dim) rows
+    either way, since a product over another row count may round
+    differently.
     """
     k = next(i for i, f in enumerate(word) if not isinstance(f, Seminormal))
     mat, c = word[k] if isinstance(word[k], _Shifted) else (word[k], 0)
     left, right = word[:k], word[k + 1:]
     whole = res is None or left and right
+    direct = not (whole or c) and right and isinstance(right[0], np.ndarray)
     for s in [slice(None)] if whole else _strips(len(mat)):
         win = (s, slice(None)) if right else (slice(None), s)
-        part = mat[win].copy()
+        part = mat[win] @ right[0] if direct else mat[win].copy()
         if c:  # D's diagonal entries within the strip
             block = part[:, s] if right else part[s]
             block.flat[::len(block) + 1] += c
         for f in reversed(left):
             _lmul(f, part)
         for r in _strips(len(part)) if whole else [slice(None)]:
-            for f in right:
+            for f in right[1:] if direct else right:
                 _rmul(part[r], f)
         if coef != 1:
             part *= coef
         if res is None:
             return part
         res[win] += part
+        del part  # before the next strip is formed
     return res
 
 
@@ -454,10 +456,10 @@ class CalibratedModule(NamedTuple):
     xs: list  # diagonals of X_1 .. X_n
     x_off: list  # Frobenius norms of X_1 .. X_n off their diagonals
     seed: NumericSeed
-    # reported residuals of (T - p)(T + 1/p) by (generator name, tol):
-    # quadratic T and square e (e = T - p) read the one evaluation.  A
-    # _replace of any generator must pass a fresh dict, or the new module
-    # reads the values of the old generators.
+    # reported residuals of the quadratic rows of _relations by
+    # (generator name, tol): quadratic T and square e (e = T - p) are one
+    # row, (T - p)(T + 1/p), evaluated once.  A _replace of any generator
+    # must pass a fresh dict, or the new module reads the old values.
     quadratics: dict
 
     @property
@@ -614,17 +616,11 @@ def _shift(mat, c):
 
 def _residual(terms, tol):
     """Reported residual (as _norm) of sum(coef * product of word) over
-    the (coef, word) terms, each word a list of factors: Seminormal,
-    dense, or dense _Shifted.
-
-    A word of Seminormal factors only is scattered into the dense
-    residual, 2^k terms per row for k factors, without a product
-    (_scatter).  Any other word is multiplied out by _product, outward
-    from its first dense factor; the residual is the first term's value.
-    A later word with factors on one side of its dense factor is added
-    a strip at a time, and any other is multiplied out whole and added
-    in.  So a relation holds, besides its operands, the residual and at
-    most one product, each freed before the next term.
+    the (coef, word) terms of a _relations row, each word a list of
+    Seminormal, dense or dense _Shifted factors.  A word of Seminormal
+    factors only is scattered in (_scatter), any other multiplied out by
+    _product; so a relation holds, besides its operands, the residual
+    and at most one product, each freed before the next term.
     """
     res = None
     for coef, word in terms:
@@ -647,47 +643,93 @@ def _report(relations, tol):
     }
 
 
-def _quadratic(m, name, mat, par, tol):
-    """Reported residual of (T - p)(T + 1/p) for the generator T = mat,
-    p = par: quadratic T, and square e for e = T - p, since e^2 + [p] e
-    is the same matrix.  It is evaluated once per module and tol."""
-    key = name, tol
-    if key not in m.quadratics:
-        m.quadratics[key] = _residual(
-            [(1, [_shift(mat, -par), _shift(mat, 1 / par)])], tol)
-    return m.quadratics[key]
+def _relations(m, check):
+    """The relations of check ("hecke", "tl" or "blob") as (name, terms,
+    gen) rows in report order, terms as _residual takes them: the one
+    statement of every relation that _check evaluates.
+
+    Rows are made as they are read, each e_i = T_i - p shifted for its
+    own row, so the one dense x dense product of braid4 Tn T{n-1}, Tn
+    T{n-1} Tn, is formed at its row.  gen names the generator of a
+    quadratic row, (T - p)(T + 1/p): quadratic T in hecke and square e
+    in tl, since e^2 + [p] e is the same matrix; it is None elsewhere.
+    The blob idempotents I0 (the even e_i, i <= n) and I1 (the odd) stay
+    words of e-factors, so of I0 I1 I0 and I1 I0 I1 the one with e_n
+    twice forms one dense x dense product, the other none.
+    """
+    gens = m.generators()
+    q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
+
+    def word(idx):  # e_i = T_i - p for each i in idx
+        return [_shift(gens[i][1], -gens[i][2]) for i in idx]
+
+    if check in ("hecke", "tl"):
+        for i, (name, mat, par) in enumerate(gens):
+            yield ("quadratic " + name if check == "hecke"
+                   else "square e%s" % ("0v" if name == "T0v" else i),
+                   [(1, [_shift(mat, -par), _shift(mat, 1 / par)])], name)
+    if check == "hecke":
+        *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
+        for i, (na, a, _) in enumerate(chain):
+            for nb, b, _ in chain[i + 2:]:
+                yield "commute %s %s" % (na, nb), _commutator(a, b), None
+        for name, b, _ in chain[2:-1]:
+            yield "commute T0v %s" % name, _commutator(t0v, b), None
+        for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
+            yield ("braid3 %s %s" % (na, nb),
+                   [(1, [a, b, a]), (-1, [b, a, b])], None)
+        if m.ts:
+            (na, a, _), (nb, b, _) = chain[:2]
+            yield ("braid4 %s %s" % (na, nb),
+                   [(1, [a, b, a, b]), (-1, [b, a, b, a])], None)
+            (na, a, _), (nb, b, _) = chain[-1], chain[-2]
+            yield ("braid4 %s %s" % (na, nb),
+                   _commutator(_product([a, b, a]), b), None)
+    elif check == "tl" and m.n >= 2:
+        rows = [("smash", 1, 0, _bracket(q0 / q)),
+                ("smash", m.n - 1, m.n, _bracket(qn / q))]
+        rows += [("tl", j, k, 1) for i in range(2, m.n)
+                 for j, k in ((i - 1, i), (i, i - 1))]
+        for kind, j, k, c in rows:
+            a, b = word((j, k))
+            yield ("%s e%d e%s e%d" % (kind, j, "n" if k == m.n else k, j),
+                   [(1, [a, b, a]), (-c, [a])], None)
+    elif check == "blob":
+        i0, i1 = range(0, m.n + 1, 2), range(1, m.n + 1, 2)  # I0 and I1
+        if m.shape.k:
+            yield "I0 = 0", [(1, word(i0))], None
+            yield "I1 = 0", [(1, word(i1))], None
+            return
+        th = m.seed.theta_value
+        if m.n % 2 == 0:
+            kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
+        else:
+            kappa = _bracket(th) - _bracket(m.seed.alpha2)
+        for name, idx in (("I0 I1 I0 = kappa I0", (i0, i1)),
+                          ("I1 I0 I1 = kappa I1", (i1, i0))):
+            a, b = map(word, idx)
+            yield name, [(1, a + b + a), (-kappa, a)], None
+
+
+def _check(m, check, tol):
+    """Reported residuals of the _relations rows of check, by name.  A
+    quadratic row is evaluated once per generator and tol, into
+    m.quadratics, and read from there by the other check."""
+    rel = {}
+    for name, terms, gen in _relations(m, check):
+        if gen is None:
+            rel[name] = _residual(terms, tol)
+            continue
+        if (gen, tol) not in m.quadratics:
+            m.quadratics[gen, tol] = _residual(terms, tol)
+        rel[name] = m.quadratics[gen, tol]
+    return rel
 
 
 def check_hecke_relations(m, tol=DEFAULT_TOL):
     """Quadratic, commuting, braid, and X-commutation residuals; an
-    X-commutation value below tol is the bound of _x_commutators.
-    braid4 Tn T{n-1} is the commutator of T{n-1} with Tn T{n-1} Tn,
-    whose dense x dense product is formed once."""
-    rel = {}
-    gens = m.generators()
-    for name, mat, par in gens:
-        rel["quadratic %s" % name] = _quadratic(m, name, mat, par, tol)
-
-    *chain, (_, t0v, _) = gens  # T0, T1 .. T_{n-1}, Tn
-    for i, (na, a, _) in enumerate(chain):
-        for nb, b, _ in chain[i + 2:]:
-            rel["commute %s %s" % (na, nb)] = _residual(_commutator(a, b), tol)
-    for name, b, _ in chain[2:-1]:
-        rel["commute T0v %s" % name] = _residual(_commutator(t0v, b), tol)
-
-    for (na, a, _), (nb, b, _) in zip(chain[1:-2], chain[2:-1]):
-        rel["braid3 %s %s" % (na, nb)] = _residual(
-            [(1, [a, b, a]), (-1, [b, a, b])], tol)
-    if m.ts:
-        (na, a, _), (nb, b, _) = chain[0], chain[1]
-        rel["braid4 %s %s" % (na, nb)] = _residual(
-            [(1, [a, b, a, b]), (-1, [b, a, b, a])], tol)
-        (na, a, _), (nb, b, _) = chain[-1], chain[-2]
-        rel["braid4 %s %s" % (na, nb)] = _residual(
-            _commutator(_product([a, b, a]), b), tol)
-
-    rel.update(_x_commutators(m, tol))
-    return _report(rel, tol)
+    X-commutation value below tol is the bound of _x_commutators."""
+    return _report({**_check(m, "hecke", tol), **_x_commutators(m, tol)}, tol)
 
 
 def _x_commutators(m, tol):
@@ -723,30 +765,8 @@ def _x_commutators(m, tol):
 
 
 def check_tl_relations(m, tol=DEFAULT_TOL):
-    """Square and smash relations for the e generators, formed one at a
-    time from generators() as in blob_check, e_0v last.  square e_i is
-    the value of quadratic T_i (_quadratic)."""
-    q, q0, qn = m.seed.q, m.seed.q0, m.seed.qn
-    rel = {}
-    for i, (name, mat, par) in enumerate(m.generators()):
-        e = _shift(mat, -par)
-        rel["square e%s" % ("0v" if name == "T0v" else i)] = _quadratic(
-            m, name, mat, par, tol)
-        if i == 1 < m.n:
-            rel["smash e1 e0 e1"] = _residual(
-                [(1, [e, prev, e]), (-_bracket(q0 / q), [e])], tol)
-        if 2 <= i < m.n:
-            rel["tl e%d e%d e%d" % (i - 1, i, i - 1)] = _residual(
-                [(1, [prev, e, prev]), (-1, [prev])], tol)
-            rel["tl e%d e%d e%d" % (i, i - 1, i)] = _residual(
-                [(1, [e, prev, e]), (-1, [e])], tol)
-        if i == m.n >= 2:
-            rel["smash e%d en e%d" % (i - 1, i - 1)] = _residual(
-                [(1, [prev, e, prev]), (-_bracket(qn / q), [prev])], tol)
-        prev = e
-    kinds = ("square", "smash", "tl")    # the report order
-    return _report(dict(sorted(
-        rel.items(), key=lambda kv: kinds.index(kv[0].split()[0]))), tol)
+    """Square, smash and Temperley-Lieb residuals of the e generators."""
+    return _report(_check(m, "tl", tol), tol)
 
 
 def check_jm_spectrum(m, tol=DEFAULT_TOL):
@@ -769,27 +789,5 @@ def check_jm_spectrum(m, tol=DEFAULT_TOL):
 
 def blob_check(m, tol=DEFAULT_TOL):
     """Alternating-product relations: the zero shape carries the kappa
-    relations, every other shape is annihilated by both products.  I0
-    is the product of the even e_i, I1 of the odd e_i, i <= n.
-
-    Both stay words of e-factors, so _residual gathers them outward from
-    e_n: of I0 I1 I0 and I1 I0 I1, the one with e_n twice forms one dense
-    x dense product, the other none, and I0, I1 alone none."""
-    i0, i1 = [], []
-    for i, (_, mat, par) in enumerate(m.generators()[:m.n + 1]):
-        (i1 if i % 2 else i0).append(_shift(mat, -par))
-    rel = {}
-    if m.shape.k == 0:
-        th, q = m.seed.theta_value, m.seed.q
-        if m.n % 2 == 0:
-            kappa = _bracket(th / q) - _bracket(m.seed.alpha1 / q)
-        else:
-            kappa = _bracket(th) - _bracket(m.seed.alpha2)
-        rel["I0 I1 I0 = kappa I0"] = _residual(
-            [(1, i0 + i1 + i0), (-kappa, i0)], tol)
-        rel["I1 I0 I1 = kappa I1"] = _residual(
-            [(1, i1 + i0 + i1), (-kappa, i1)], tol)
-    else:
-        rel["I0 = 0"] = _residual([(1, i0)], tol)
-        rel["I1 = 0"] = _residual([(1, i1)], tol)
-    return _report(rel, tol)
+    relations, every other shape is annihilated by both products."""
+    return _report(_check(m, "blob", tol), tol)

@@ -799,7 +799,9 @@ def upcast_module(m, dtype=np.clongdouble):
     """m with T_0, T_1 .. T_{n-1}, T_0v and T_n as dense dtype arrays
     holding m's own entries: the dense checkers run on it evaluate the
     relations of m's very generators in extended precision.  It starts
-    an empty quadratics cache: m's holds values of its double-precision
+    an empty quadratics cache, since a structured check reads the values
+    of its quadratic rows (calibrated._relations) from there by
+    generator name, and m's are those of its double-precision
     generators."""
     return m._replace(t0=np.asarray(m.t0, dtype=dtype),
                       ts=[np.asarray(mat, dtype=dtype) for mat in m.ts],

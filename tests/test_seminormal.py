@@ -19,7 +19,8 @@ from blobalg.calibrated import (
     check_tl_relations,
     make_seed,
 )
-from blobalg.params import Formal, Integral, Paired, ParamConfig, SelfInverse
+from blobalg.params import (DEFAULT_TOL, Formal, Integral, Paired, ParamConfig,
+                            SelfInverse)
 from blobalg.tableaux import Shape, shapes
 
 from conftest import CONFIG_FACTORIES, valid_configs
@@ -178,13 +179,10 @@ def test_checks_never_densify(cfg_generic, monkeypatch):
 # -- differential tests against the dense oracle ---------------------------
 
 
-def _structured_only(check, name, n):
-    """Whether every factor of the relation is Seminormal: no T_n, e_n,
-    X_i or blob product."""
-    tokens = set(name.split())
-    return (check in ("hecke", "tl")
-            and not tokens & {"Tn", "en", "e%d" % n}
-            and not any(t.startswith("X") for t in tokens))
+def _seminormal_only(terms):
+    """Whether every factor of a calibrated._relations row is a
+    Seminormal: no T_n, e_n or product of them."""
+    return all(isinstance(f, Seminormal) for _, word in terms for f in word)
 
 
 def _built(build, cfg, n, sh, seed):
@@ -252,9 +250,52 @@ def _compare(cfg, n, seed, noise_floor=math.inf):
                 assert got["pass"] == ref["pass"], (n, sh, kind)
             if noisy:
                 continue
+            structured = {name for name, terms, _ in calibrated._relations(m, kind)
+                          if _seminormal_only(terms)}
             for name, value in got["relations"].items():
-                slack = 1e-12 if _structured_only(kind, name, n) else 1e-9
+                slack = 1e-12 if name in structured else 1e-9
                 assert abs(value - want["relations"][name]) <= slack, (n, sh, name)
+
+
+def _dense_value(terms, dim):
+    """The residual matrix of a calibrated._relations row by dense numpy
+    products: a Seminormal densified, a _Shifted formed."""
+    eye = np.eye(dim)
+
+    def dense(f):
+        return f.mat + f.c * eye if isinstance(f, calibrated._Shifted) else np.asarray(f)
+    return sum(coef * np.linalg.multi_dot([dense(f) for f in word] + [eye])
+               for coef, word in terms)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
+def test_relation_table_matches_dense_oracle(cfg_name):
+    # A second reader of the relation table: every row of the hecke, tl
+    # and blob checks, evaluated by dense products, is the dense oracle's
+    # relation of the same name, in report order, within _compare's slack
+    # (the X commutators are not rows of the table).
+    cfg = CONFIG_FACTORIES[cfg_name]()
+    seed = make_seed(cfg, 0)
+    seen = 0
+    for n in range(1, 6):
+        for sh in shapes(n):
+            m = _built(build_calibrated, cfg, n, sh, seed)
+            if isinstance(m, str):
+                continue
+            d = build_calibrated_dense(cfg, n, sh, seed)
+            for kind, _, oracle in CHECKS:
+                if kind == "jm":  # norms of the X_i, no relation of the table
+                    continue
+                want = {name: value for name, value in oracle(d)["relations"].items()
+                        if not name.startswith("commute X")}
+                rows = list(calibrated._relations(m, kind))
+                assert [name for name, _, _ in rows] == list(want), (n, sh, kind)
+                for name, terms, _ in rows:
+                    value = calibrated._norm(_dense_value(terms, m.dim), DEFAULT_TOL)
+                    slack = 1e-12 if _seminormal_only(terms) else 1e-9
+                    assert abs(value - want[name]) <= slack, (n, sh, name)
+                    seen += 1
+    assert seen > 200
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CONFIG_FACTORIES))
@@ -321,8 +362,10 @@ def _dense_products(m, check, monkeypatch):
     products formed for each reported residual (those since the one
     before it: every residual ends in one _norm), and those formed
     after the last.  The counted module shares m's quadratics cache on
-    purpose: its T_n is a view of m's, entry for entry, and a check run
-    after another reads the values the first left there."""
+    purpose: its T_n is a view of m's, entry for entry, and the quadratic
+    rows of a check run after another (quadratic T, square e: one row of
+    calibrated._relations per generator) read the values the first left
+    there."""
     m = m._replace(tn=m.tn.view(_CountedTn))
     per = []
     real = calibrated._norm
